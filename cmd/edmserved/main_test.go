@@ -22,7 +22,6 @@ func TestFlagMapping(t *testing.T) {
 		"-init-points", "250",
 		"-ingest-workers", "3",
 		"-max-events", "10000",
-		"-coalesce-window", "4ms",
 		"-max-batch", "2048",
 		"-max-pending", "64",
 		"-longpoll-timeout", "12s",
@@ -44,7 +43,7 @@ func TestFlagMapping(t *testing.T) {
 	}
 
 	sc := buildServerConfig(cfg)
-	if sc.Addr != "127.0.0.1:9901" || sc.CoalesceWindow != 4*time.Millisecond ||
+	if sc.Addr != "127.0.0.1:9901" ||
 		sc.MaxBatch != 2048 || sc.MaxPending != 64 ||
 		sc.LongPollTimeout != 12*time.Second || sc.MaxBodyBytes != 1<<20 {
 		t.Errorf("server config mapping wrong: %+v", sc)
@@ -111,7 +110,6 @@ func TestFlagDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cfg.addr != "127.0.0.1:8080" || cfg.rate != 1000 ||
-		cfg.coalesceWindow != 2*time.Millisecond ||
 		cfg.longPollTimeout != 30*time.Second ||
 		cfg.shutdownGrace != 15*time.Second {
 		t.Errorf("defaults wrong: %+v", cfg)

@@ -82,8 +82,6 @@ type E2EReport struct {
 	Rate    float64 `json:"rate"`
 	Writers int     `json:"writers"`
 	Readers int     `json:"readers"`
-	// CoalesceWindowMicros is the server's ingest coalescing window.
-	CoalesceWindowMicros float64 `json:"coalesce_window_micros"`
 	// WallSeconds is the measured-phase duration.
 	WallSeconds float64 `json:"wall_seconds"`
 	// IngestPoints/IngestPointsPerSec: aggregate writer throughput
@@ -448,21 +446,20 @@ func RunE2E(s Scale) (E2EReport, error) {
 	}
 
 	rep := E2EReport{
-		Schema:               "edmstream-e2e/v1",
-		Points:               s.Points,
-		Seed:                 s.Seed,
-		Rate:                 s.Rate,
-		Writers:              E2EWriters,
-		Readers:              E2EReaders,
-		CoalesceWindowMicros: float64(cfg.CoalesceWindow.Microseconds()),
-		WallSeconds:          wall.Seconds(),
-		IngestPoints:         ingested.Load(),
-		IngestPointsPerSec:   float64(ingested.Load()) / wall.Seconds(),
-		AssignQueries:        queries.Load(),
-		AssignQPS:            float64(queries.Load()) / wall.Seconds(),
-		EventsPages:          eventsPages.Load(),
-		EventsSeen:           eventsSeen.Load(),
-		Endpoints:            lat.summarize(),
+		Schema:             "edmstream-e2e/v1",
+		Points:             s.Points,
+		Seed:               s.Seed,
+		Rate:               s.Rate,
+		Writers:            E2EWriters,
+		Readers:            E2EReaders,
+		WallSeconds:        wall.Seconds(),
+		IngestPoints:       ingested.Load(),
+		IngestPointsPerSec: float64(ingested.Load()) / wall.Seconds(),
+		AssignQueries:      queries.Load(),
+		AssignQPS:          float64(queries.Load()) / wall.Seconds(),
+		EventsPages:        eventsPages.Load(),
+		EventsSeen:         eventsSeen.Load(),
+		Endpoints:          lat.summarize(),
 		Coalescer: E2ECoalescerResult{
 			Batches:            stats.Server.Coalescer.Batches,
 			Points:             stats.Server.Coalescer.Points,
@@ -513,7 +510,7 @@ func e2eBodies(pts []stream.Point) ([][]byte, error) {
 func FormatE2E(rep E2EReport) string {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "End-to-end serving: edmserved on loopback, %d HTTP writers + %d HTTP readers\n", rep.Writers, rep.Readers)
-	fmt.Fprintf(&b, "  (gomaxprocs %d, %d CPUs, coalesce window %.0fus)\n", rep.GOMAXPROCS, rep.NumCPU, rep.CoalesceWindowMicros)
+	fmt.Fprintf(&b, "  (gomaxprocs %d, %d CPUs)\n", rep.GOMAXPROCS, rep.NumCPU)
 	fmt.Fprintf(&b, "ingest: %d points in %.2fs = %.0f points/sec through the full network path\n",
 		rep.IngestPoints, rep.WallSeconds, rep.IngestPointsPerSec)
 	fmt.Fprintf(&b, "assign: %d queries = %.0f qps, hit rate %.4f\n", rep.AssignQueries, rep.AssignQPS, rep.AssignHitRate)

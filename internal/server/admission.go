@@ -30,7 +30,8 @@ const (
 // admission is the ingest admission controller plus the read-path
 // concurrency guard. The ingest rule: estimate the commit wait a
 // request admitted now would see — queued requests divided by the
-// observed requests-per-batch, times the observed flush latency — and
+// observed requests-per-batch, times the observed flush latency (the
+// window median, or the latest flush when that was slower) — and
 // shed with 429 + Retry-After when the estimate exceeds the configured
 // deadline. The estimate uses only live inputs (the pending gauge) and
 // short-window distributions, so it tracks the queue as it drains and

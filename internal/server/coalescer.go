@@ -35,11 +35,13 @@ type ingestReply struct {
 
 // coalescer accumulates concurrently arriving ingest requests into
 // single InsertBatchAssigned calls under single-writer ownership of
-// the clusterer's write path. A batch is held open for at most the
-// coalescing window after its first request and is flushed early when
-// it reaches maxBatch points. Each request's per-point cell acks are
-// carved out of the batch ack slice and delivered on its reply
-// channel.
+// the clusterer's write path. Its batching policy is group commit:
+// each pass takes everything that queued while the previous commit
+// (WAL append, fsync, apply) ran, up to maxBatch points, and commits
+// it at once. Batches grow exactly when commits are slow enough to
+// make them worth having, and a lone request never waits. Each
+// request's per-point cell acks are carved out of the batch ack slice
+// and delivered on its reply channel.
 //
 // The writer is no longer a dedicated goroutine: runOne performs one
 // bounded pass (gather + flush one batch) and is scheduled through a
@@ -51,7 +53,6 @@ type ingestReply struct {
 type coalescer struct {
 	c        *edmstream.Clusterer
 	queue    chan *ingestReq
-	window   time.Duration
 	maxBatch int
 
 	// wake schedules a runOne pass (the stream's pool-handle Wake).
@@ -63,10 +64,6 @@ type coalescer struct {
 	// it first, under the same single-ownership the probe's WAL and
 	// checkpoint writes require.
 	probeWanted atomic.Bool
-
-	// timer is the coalescing-window timer, reused across gathers.
-	// Owned by runOne.
-	timer *time.Timer
 
 	// carry holds a request dequeued during gather that would push
 	// the open batch past maxBatch; it becomes the trigger of the
@@ -112,6 +109,10 @@ type coalescer struct {
 	pending       *obs.Gauge
 	rejectsTotal  *obs.Counter
 	clientCancels *obs.Counter
+	// lastFlush is the latest successful flush latency in nanoseconds,
+	// so the admission estimator sees a disk that just turned slow
+	// before the slow flushes dominate flushSeconds' window.
+	lastFlush atomic.Int64
 
 	// Reused across batches so a steady-state flush does not allocate
 	// for the concatenation.
@@ -124,7 +125,6 @@ func newCoalescer(c *edmstream.Clusterer, cfg Config, reg *obs.Registry, labels 
 	return &coalescer{
 		c:             c,
 		queue:         make(chan *ingestReq, cfg.MaxPending),
-		window:        cfg.CoalesceWindow,
 		maxBatch:      cfg.MaxBatch,
 		stop:          make(chan struct{}),
 		done:          make(chan struct{}),
@@ -209,15 +209,28 @@ func (co *coalescer) runOne() bool {
 	}
 	select {
 	case <-co.stop:
-		co.drain()
+		// Drain: commit everything accepted into the queue (in
+		// maxBatch-bounded batches) so no accepted work is dropped;
+		// requests arriving later get errDraining from submit.
+		for co.commitNext() {
+		}
 		co.doneOnce.Do(func() { close(co.done) })
 		return false
 	default:
 	}
-	var first *ingestReq
-	if co.carry != nil {
-		first, co.carry = co.carry, nil
-	} else {
+	if !co.commitNext() {
+		return false
+	}
+	return co.carry != nil || len(co.queue) > 0
+}
+
+// commitNext gathers and flushes one batch, triggered by the request
+// carried over from the previous batch or else the next queued one.
+// It reports false when there was nothing to commit.
+func (co *coalescer) commitNext() bool {
+	first := co.carry
+	co.carry = nil
+	if first == nil {
 		select {
 		case first = <-co.queue:
 		default:
@@ -226,7 +239,7 @@ func (co *coalescer) runOne() bool {
 	}
 	co.gather(first)
 	co.flush()
-	return co.carry != nil || len(co.queue) > 0
+	return true
 }
 
 // probe attempts automatic recovery from degraded mode: reopen the WAL
@@ -245,7 +258,8 @@ func (co *coalescer) probe() {
 
 // estimateWait predicts the commit wait a request admitted now would
 // see: the queued requests ahead of it, in batches of the observed
-// requests-per-batch, each taking the observed flush latency. Called
+// requests-per-batch, each taking the observed flush latency — the
+// window median, or the latest flush when that was slower. Called
 // from request goroutines; every input is a lock-free instrument.
 func (co *coalescer) estimateWait() time.Duration {
 	pending := co.pending.Value()
@@ -260,50 +274,19 @@ func (co *coalescer) estimateWait() time.Duration {
 	if reqsPerBatch < 1 {
 		reqsPerBatch = 1
 	}
+	perBatch := max(fl.P50*float64(time.Second), float64(co.lastFlush.Load()))
 	batchesAhead := float64(pending)/reqsPerBatch + 1
-	return time.Duration(batchesAhead * fl.P50 * float64(time.Second))
+	return time.Duration(batchesAhead * perBatch)
 }
 
 // gather collects requests for one batch: the triggering request,
-// then whatever arrives within the coalescing window, up to maxBatch
-// points. With a zero window it takes only what is already queued.
-// The window wait holds the pool worker for at most the window — the
-// bounded price of batching, identical to the dedicated-goroutine
-// behavior.
+// then whatever is already queued, up to maxBatch points. It never
+// waits for more — under load the queue refills while the previous
+// batch commits, which is what makes batches grow. A request that
+// would overflow the batch is carried over to trigger the next one.
 func (co *coalescer) gather(first *ingestReq) {
 	co.reqs = append(co.reqs[:0], first)
 	npts := len(first.pts)
-
-	if co.window <= 0 {
-		for npts < co.maxBatch {
-			select {
-			case r := <-co.queue:
-				if npts+len(r.pts) > co.maxBatch {
-					co.carry = r
-					return
-				}
-				co.reqs = append(co.reqs, r)
-				npts += len(r.pts)
-			default:
-				return
-			}
-		}
-		return
-	}
-
-	if co.timer == nil {
-		co.timer = time.NewTimer(co.window)
-	} else {
-		co.timer.Reset(co.window)
-	}
-	defer func() {
-		if !co.timer.Stop() {
-			select {
-			case <-co.timer.C:
-			default:
-			}
-		}
-	}()
 	for npts < co.maxBatch {
 		select {
 		case r := <-co.queue:
@@ -313,9 +296,7 @@ func (co *coalescer) gather(first *ingestReq) {
 			}
 			co.reqs = append(co.reqs, r)
 			npts += len(r.pts)
-		case <-co.timer.C:
-			return
-		case <-co.stop:
+		default:
 			return
 		}
 	}
@@ -324,9 +305,6 @@ func (co *coalescer) gather(first *ingestReq) {
 // flush commits the gathered requests as one InsertBatchAssigned call
 // and hands each request its slice of the acks.
 func (co *coalescer) flush() {
-	if len(co.reqs) == 0 {
-		return
-	}
 	co.pts = co.pts[:0]
 	oldest := co.reqs[0].enqueued
 	for _, r := range co.reqs {
@@ -377,7 +355,9 @@ func (co *coalescer) flush() {
 		// Only successful flushes feed the admission estimator: a
 		// degraded fast-fail takes microseconds and would talk the
 		// estimate down exactly when the server cannot serve.
-		co.flushSeconds.Observe(time.Since(begin))
+		took := time.Since(begin)
+		co.flushSeconds.Observe(took)
+		co.lastFlush.Store(int64(took))
 		co.pointsTotal.Add(uint64(len(co.pts)))
 		if co.dur != nil {
 			co.dur.noteCommitted(co.c, len(co.pts))
@@ -401,42 +381,6 @@ func (co *coalescer) flush() {
 
 	if co.onFlush != nil {
 		co.onFlush()
-	}
-}
-
-// drain services everything queued at shutdown: requests already
-// accepted into the queue are committed (in maxBatch-bounded batches)
-// so no accepted work is dropped, then the loop exits and any
-// requests that arrive later get errDraining from submit.
-func (co *coalescer) drain() {
-	for {
-		var first *ingestReq
-		if co.carry != nil {
-			first, co.carry = co.carry, nil
-		} else {
-			select {
-			case first = <-co.queue:
-			default:
-				return
-			}
-		}
-		co.reqs = append(co.reqs[:0], first)
-		npts := len(first.pts)
-	gather:
-		for npts < co.maxBatch {
-			select {
-			case r := <-co.queue:
-				if npts+len(r.pts) > co.maxBatch {
-					co.carry = r
-					break gather
-				}
-				co.reqs = append(co.reqs, r)
-				npts += len(r.pts)
-			default:
-				break gather
-			}
-		}
-		co.flush()
 	}
 }
 

@@ -23,7 +23,6 @@ func TestConfigValidate(t *testing.T) {
 		DefaultConfig(),
 		{Addr: "127.0.0.1:0"},
 		{Addr: ":8080"},
-		{CoalesceWindow: 5 * time.Millisecond},
 		{MaxBatch: 1},
 		{MaxPending: 1},
 		{LongPollTimeout: time.Second},
@@ -52,8 +51,6 @@ func TestConfigValidate(t *testing.T) {
 		cfg  Config
 		want string // substring the error must carry (the field name)
 	}{
-		{Config{CoalesceWindow: -time.Millisecond}, "CoalesceWindow"},
-		{Config{CoalesceWindow: 2 * time.Minute}, "CoalesceWindow"},
 		{Config{MaxBatch: -1}, "MaxBatch"},
 		{Config{MaxPending: -5}, "MaxPending"},
 		{Config{LongPollTimeout: -time.Second}, "LongPollTimeout"},
@@ -105,14 +102,6 @@ func TestConfigDefaults(t *testing.T) {
 		d.MaxPending != defaultMaxPending || d.LongPollTimeout != defaultLongPollTimeout ||
 		d.MaxBodyBytes != defaultMaxBodyBytes {
 		t.Errorf("zero config defaults wrong: %+v", d)
-	}
-	// The zero window is a real setting (flush immediately), not an
-	// unset marker; the production default comes from DefaultConfig.
-	if d.CoalesceWindow != 0 {
-		t.Errorf("zero CoalesceWindow must stay zero, got %v", d.CoalesceWindow)
-	}
-	if DefaultConfig().CoalesceWindow != defaultCoalesceWindow {
-		t.Errorf("DefaultConfig window = %v, want %v", DefaultConfig().CoalesceWindow, defaultCoalesceWindow)
 	}
 	if d.ReadTimeout != defaultReadTimeout || d.IdleTimeout != defaultIdleTimeout ||
 		d.IngestDeadline != defaultIngestDeadline || d.MaxReadConcurrency != defaultMaxReadConcurrency ||

@@ -411,6 +411,11 @@ func decodeBatchRecord(payload []byte) ([]edmstream.Point, error) {
 				p.Vector[j] = math.Float64frombits(bits)
 			}
 		case pointKindTokens:
+			// Every token carries a 4-byte length prefix; bound the
+			// claimed count by the bytes left before sizing the set.
+			if int(n) > len(r.buf)/4 {
+				return nil, fmt.Errorf("point %d claims %d tokens in %d bytes", i, n, len(r.buf))
+			}
 			p.Tokens = make(edmstream.TokenSet, n)
 			for j := 0; j < int(n); j++ {
 				tok, err := r.str()

@@ -3,9 +3,11 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"net/http"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -54,7 +56,6 @@ func checkpointBytes(t *testing.T, c *edmstream.Clusterer) []byte {
 func TestGracefulShutdownDurableAckOnDisk(t *testing.T) {
 	dir := t.TempDir()
 	s, c, base := startServer(t, testOptions(), Config{
-		CoalesceWindow:  2 * time.Millisecond,
 		DataDir:         dir,
 		CheckpointEvery: 500,
 	})
@@ -328,5 +329,34 @@ func TestBatchRecordCodec(t *testing.T) {
 	}
 	if _, err := decodeBatchRecord(append(raw[:len(raw):len(raw)], 0)); err == nil {
 		t.Fatal("decodeBatchRecord accepted trailing garbage")
+	}
+}
+
+// TestBatchRecordRejectsHugeTokenCount: a record claiming far more
+// tokens than its bytes can hold (each token needs a 4-byte length
+// prefix) is an error, not a multi-gigabyte TokenSet allocation. The
+// 40-byte record claims 16M tokens for one point.
+func TestBatchRecordRejectsHugeTokenCount(t *testing.T) {
+	rec := []byte{batchRecordVersion}
+	rec = binary.LittleEndian.AppendUint32(rec, 1) // one point
+	rec = append(rec, make([]byte, 24)...)         // id, time, label
+	rec = append(rec, pointKindTokens)
+	rec = binary.LittleEndian.AppendUint32(rec, 0x01000000) // token count
+	rec = binary.LittleEndian.AppendUint32(rec, 2)          // first token
+	rec = append(rec, "ab"...)
+	if len(rec) != 40 {
+		t.Fatalf("record is %d bytes, want 40", len(rec))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := decodeBatchRecord(rec)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("decodeBatchRecord accepted a record claiming 16M tokens in 40 bytes")
+	}
+	// The truncation is caught either way; what must not happen is
+	// sizing a set for the claimed count first.
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Fatalf("decoding the 40-byte record allocated %d bytes", alloc)
 	}
 }

@@ -23,7 +23,6 @@ import (
 func overloadConfig(dir string, ffs *wal.FaultFS) Config {
 	return Config{
 		Addr:                  "127.0.0.1:0",
-		CoalesceWindow:        time.Millisecond,
 		MaxBatch:              64,
 		MaxPending:            4,
 		IngestDeadline:        40 * time.Millisecond,

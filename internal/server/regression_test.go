@@ -67,12 +67,17 @@ func TestShapeMismatchRejected(t *testing.T) {
 // TestMaxBatchEnforced: a single request may not exceed MaxBatch
 // points (400), and no coalesced engine batch ever exceeds MaxBatch —
 // a request that would overflow an open batch starts the next one.
+// The writer is stalled in its first flush until every other request
+// is queued, so the cap is tested against a full queue regardless of
+// scheduler timing.
 func TestMaxBatchEnforced(t *testing.T) {
 	const maxBatch = 100
-	s, c, base := startServer(t, testOptions(), Config{
-		MaxBatch:       maxBatch,
-		CoalesceWindow: 5 * time.Millisecond,
+	var held <-chan struct{}
+	var release func()
+	s, c, base := startServer(t, testOptions(), Config{MaxBatch: maxBatch}, func(s *Server) {
+		held, release = stallFirstFlush(s.coal)
 	})
+	t.Cleanup(release)
 
 	// Oversized single request: rejected before queueing.
 	big := make([]map[string]any, maxBatch+1)
@@ -111,6 +116,9 @@ func TestMaxBatchEnforced(t *testing.T) {
 			errs <- nil
 		}(r)
 	}
+	<-held
+	waitPending(t, s.coal, requests-1)
+	release()
 	for r := 0; r < requests; r++ {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
@@ -121,6 +129,10 @@ func TestMaxBatchEnforced(t *testing.T) {
 	}
 	if max := s.coal.batchSize.Stats().WindowMax; max > maxBatch {
 		t.Errorf("a coalesced batch carried %g points, cap is %d", max, maxBatch)
+	}
+	// Pairs overflow the cap, so every request is its own batch.
+	if got := s.coal.batches.Value(); got != requests {
+		t.Errorf("coalescer made %d batches for %d requests, want one each", got, requests)
 	}
 }
 

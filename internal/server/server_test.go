@@ -24,8 +24,9 @@ func testOptions() edmstream.Options {
 // startServer builds a clusterer + server, starts it on an ephemeral
 // loopback port and registers a cleanup shutdown. Tests that shut
 // down explicitly can still rely on the cleanup being a no-op second
-// call.
-func startServer(t *testing.T, opts edmstream.Options, cfg Config) (*Server, *edmstream.Clusterer, string) {
+// call. Each setup hook runs between New and Start, before any
+// request can reach the writer.
+func startServer(t *testing.T, opts edmstream.Options, cfg Config, setup ...func(*Server)) (*Server, *edmstream.Clusterer, string) {
 	t.Helper()
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
@@ -37,6 +38,9 @@ func startServer(t *testing.T, opts edmstream.Options, cfg Config) (*Server, *ed
 	s, err := New(c, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, f := range setup {
+		f(s)
 	}
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
@@ -299,7 +303,7 @@ func TestAssignBeforeSnapshotPublishes(t *testing.T) {
 }
 
 func TestEventsCursorAndLongPoll(t *testing.T) {
-	_, _, base := startServer(t, testOptions(), Config{CoalesceWindow: time.Millisecond})
+	_, _, base := startServer(t, testOptions(), Config{})
 
 	// Drive past initialization so events exist.
 	pts := twoBlobPoints(3000, 2)
@@ -384,9 +388,16 @@ func TestEventsCursorAndLongPoll(t *testing.T) {
 
 // TestConcurrentIngestCoalesces drives concurrent writers and checks
 // that the coalescer actually merges requests into multi-request
-// batches (the reason the subsystem exists).
+// batches (the reason the subsystem exists). The writer is stalled in
+// its first flush until every other writer has a request queued, so
+// the merge does not depend on scheduler timing.
 func TestConcurrentIngestCoalesces(t *testing.T) {
-	s, c, base := startServer(t, testOptions(), Config{CoalesceWindow: 5 * time.Millisecond})
+	var held <-chan struct{}
+	var release func()
+	s, c, base := startServer(t, testOptions(), Config{}, func(s *Server) {
+		held, release = stallFirstFlush(s.coal)
+	})
+	t.Cleanup(release)
 
 	const writers = 8
 	const perWriter = 20
@@ -420,6 +431,9 @@ func TestConcurrentIngestCoalesces(t *testing.T) {
 			}
 		}(w)
 	}
+	<-held
+	waitPending(t, s.coal, writers-1)
+	release()
 	wg.Wait()
 	close(errs)
 	for err := range errs {
@@ -431,8 +445,8 @@ func TestConcurrentIngestCoalesces(t *testing.T) {
 		t.Fatalf("engine points = %d, want %d", got, total)
 	}
 	reqStats := s.coal.batchReqs.Stats()
-	if reqStats.WindowMax < 2 {
-		t.Errorf("no multi-request batch formed under %d concurrent writers (max %g)", writers, reqStats.WindowMax)
+	if reqStats.WindowMax < writers-1 {
+		t.Errorf("the %d requests queued behind a stalled commit were not group-committed (max %g per batch)", writers-1, reqStats.WindowMax)
 	}
 	if batches := s.coal.batches.Value(); batches >= uint64(writers*perWriter) {
 		t.Errorf("coalescer made %d batches for %d requests: nothing coalesced", batches, writers*perWriter)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -293,7 +294,7 @@ func (s *Server) discoverStreams() error {
 		}
 		for _, k := range keys {
 			rest := k[len("streams/"):]
-			if i := indexByte(rest, '/'); i > 0 {
+			if i := strings.IndexByte(rest, '/'); i > 0 {
 				if name := rest[:i]; tenant.ValidateName(name) == nil {
 					s.streams.RegisterEvicted(name)
 				}
@@ -301,13 +302,4 @@ func (s *Server) discoverStreams() error {
 		}
 	}
 	return nil
-}
-
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
 }

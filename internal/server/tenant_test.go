@@ -427,9 +427,8 @@ func TestPerTenantDeterminism(t *testing.T) {
 	)
 	opts := edmstream.Options{Radius: 1.2, InitPoints: 200, IngestWorkers: 1}
 	cfg := Config{
-		NewEngine:      func() (*edmstream.Clusterer, error) { return edmstream.New(opts) },
-		CoalesceWindow: time.Millisecond,
-		WriterPool:     2,
+		NewEngine:  func() (*edmstream.Clusterer, error) { return edmstream.New(opts) },
+		WriterPool: 2,
 	}
 	s, _, base := startServer(t, opts, cfg)
 
@@ -517,7 +516,6 @@ func TestEvictionInflightRace(t *testing.T) {
 	cfg.MemoryBudget = MinMemoryBudget
 	cfg.EvictIdleAfter = 20 * time.Millisecond
 	cfg.SweepInterval = 5 * time.Millisecond
-	cfg.CoalesceWindow = 0
 	s, _, base := startServer(t, testOptions(), cfg)
 
 	// Per-stream deterministic input, distinct across streams.

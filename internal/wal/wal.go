@@ -432,12 +432,15 @@ func (l *Log) scanSegments() error {
 		if headerOK && expect != 0 && meta.firstSeq != expect {
 			// A sequence gap between segments normally proves the later
 			// one unreachable — unless the checkpoint covers the gap
-			// entirely. That state is left behind when a torn tail is
-			// truncated below the checkpoint boundary: appends restart in
-			// a fresh segment at ckptNext while the stale pre-checkpoint
-			// tail stays on disk until the next prune, and a second crash
-			// must not cost the fresh segment's acknowledged records.
-			if expect <= l.ckptNext && meta.firstSeq == l.ckptNext {
+			// entirely, i.e. the later segment starts at or below
+			// ckptNext. Two paths leave a stale pre-checkpoint segment in
+			// front of such a gap: a torn tail truncated below the
+			// checkpoint boundary (appends restart in a fresh segment at
+			// ckptNext while the stale tail stays on disk until the next
+			// prune), and an archive restore that brings back a segment
+			// whose remote copy outlived the prune of its neighbours.
+			// Neither may cost the later segments' acknowledged records.
+			if expect < meta.firstSeq && meta.firstSeq <= l.ckptNext {
 				expect = meta.firstSeq
 			} else {
 				headerOK = false

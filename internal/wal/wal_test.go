@@ -732,6 +732,67 @@ func TestCheckpointBridgesTruncatedTail(t *testing.T) {
 	}
 }
 
+// TestCheckpointBridgesStaleSegmentGap is the archive-restore
+// regression: a stale segment from before the checkpoint comes back in
+// front of a gap whose far side starts below ckptNext (the segment
+// holding the checkpoint boundary). The checkpoint covers the whole
+// gap, so recovery must replay every record from ckptNext on — not
+// drop the live segments as unreachable.
+func TestCheckpointBridgesStaleSegmentGap(t *testing.T) {
+	dir := t.TempDir()
+	recs := payloads(120)
+	l, err := Open(Options{Dir: dir, SegmentBytes: 1 << 10})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	// Fill at least three segments, then checkpoint mid-segment so the
+	// boundary segment starts below ckptNext.
+	n := 0
+	for l.Stats().Segments < 3 || l.nextSeq == l.segments[len(l.segments)-1].firstSeq {
+		appendAll(t, l, recs[n:n+1])
+		n++
+	}
+	stale := l.segments[0]
+	staleBytes, err := os.ReadFile(filepath.Join(dir, stale.name))
+	if err != nil {
+		t.Fatalf("reading the first segment: %v", err)
+	}
+	if err := l.SaveCheckpoint([]byte("state")); err != nil {
+		t.Fatalf("SaveCheckpoint: %v", err)
+	}
+	ckptNext := l.ckptNext
+	if first := l.segments[0].firstSeq; first >= ckptNext || first == stale.firstSeq {
+		t.Fatalf("want the pruned log to start inside the checkpoint's segment, got first seq %d, ckptNext %d", first, ckptNext)
+	}
+	appendAll(t, l, recs[n:])
+	l.Close()
+
+	// The stale first segment reappears, as an archive restore brings it.
+	if err := os.WriteFile(filepath.Join(dir, stale.name), staleBytes, 0o644); err != nil {
+		t.Fatalf("restoring the stale segment: %v", err)
+	}
+	re, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer re.Close()
+	if info := re.Info(); info.DroppedSegments != 0 {
+		t.Fatalf("recovery dropped %d segment(s) behind a checkpoint-covered gap: %+v", info.DroppedSegments, info)
+	}
+	seqs, got := collect(t, re)
+	if want := len(recs) - int(ckptNext-1); len(got) != want {
+		t.Fatalf("replayed %d records, want the %d from ckptNext %d on", len(got), want, ckptNext)
+	}
+	for i := range got {
+		if seqs[i] != ckptNext+uint64(i) || !bytes.Equal(got[i], recs[ckptNext-1+uint64(i)]) {
+			t.Fatalf("replayed record %d (seq %d) differs", i, seqs[i])
+		}
+	}
+	if seq, err := re.Append([]byte("onward")); err != nil || seq != uint64(len(recs))+1 {
+		t.Fatalf("Append after the bridge = (%d, %v), want seq %d", seq, err, len(recs)+1)
+	}
+}
+
 // TestParseRecordLengthBound pins the corruption guard at exactly
 // maxRecordBytes: a hostile length prefix at or past the bound must be
 // rejected before any int conversion can overflow on 32-bit platforms.
