@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -180,5 +182,72 @@ func TestEstimateWaitSeesSlowFlushAtOnce(t *testing.T) {
 	co.lastFlush.Store(int64(60 * time.Millisecond))
 	if got, want := co.estimateWait(), 120*time.Millisecond; got != want {
 		t.Fatalf("estimate after a slow flush = %v, want %v", got, want)
+	}
+}
+
+// TestDrainCommitsEverythingQueued pins the shutdown drain: once stop
+// is closed, a single writer pass commits every accepted request, in
+// batches of at most MaxBatch points, acks each one, and closes done;
+// a request submitted after that gets errDraining.
+func TestDrainCommitsEverythingQueued(t *testing.T) {
+	const ptsPerReq = 3
+	const queued = 7
+	c, err := edmstream.New(testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two requests fit one batch, so the drain needs four batches.
+	cfg := Config{MaxBatch: 2 * ptsPerReq}.withDefaults()
+	co := newCoalescer(c, cfg, obs.NewRegistry(), "")
+
+	reqPoints := func(i int) []edmstream.Point {
+		pts := make([]edmstream.Point, ptsPerReq)
+		for j := range pts {
+			pts[j] = edmstream.Point{Vector: []float64{float64(i) * 20, float64(j) * 0.1}, Time: float64(i)}
+		}
+		return pts
+	}
+	errs := make(chan error, queued)
+	for i := range queued {
+		go func() {
+			cells, err := co.submit(context.Background(), reqPoints(i))
+			if err == nil && len(cells) != ptsPerReq {
+				err = fmt.Errorf("request %d: %d acks, want %d", i, len(cells), ptsPerReq)
+			}
+			errs <- err
+		}()
+	}
+	// No writer has run yet, so every request is still queued.
+	waitPending(t, co, queued)
+
+	co.beginShutdown()
+	if co.runOne() {
+		t.Fatal("drain pass reported queued work behind it")
+	}
+	select {
+	case <-co.done:
+	default:
+		t.Fatal("drain pass did not close done")
+	}
+	for range queued {
+		if err := <-errs; err != nil {
+			t.Fatalf("queued request not committed by the drain: %v", err)
+		}
+	}
+	if got, want := co.batches.Value(), uint64((queued+1)/2); got != want {
+		t.Fatalf("drain committed %d batches, want %d", got, want)
+	}
+	if st := co.batchSize.Stats(); st.WindowMax > float64(cfg.MaxBatch) {
+		t.Fatalf("drain batch carried %g points, over MaxBatch %d", st.WindowMax, cfg.MaxBatch)
+	}
+	if got, want := c.Stats().Points, int64(queued*ptsPerReq); got != want {
+		t.Fatalf("engine points = %d, want %d", got, want)
+	}
+	if got := co.pending.Value(); got != 0 {
+		t.Fatalf("%d requests still pending after the drain", got)
+	}
+
+	if _, err := co.submit(context.Background(), reqPoints(queued)); !errors.Is(err, errDraining) {
+		t.Fatalf("submit after the drain: err = %v, want errDraining", err)
 	}
 }
