@@ -304,10 +304,9 @@ func BenchmarkIndexNearestSeed(b *testing.B) {
 
 // benchmarkIngestMode drives the bursty 2-D lattice throughput
 // workload through the public API in the given batch size (1 = plain
-// Insert) and route-phase worker count (1 = fully single-threaded, 0 =
-// GOMAXPROCS). One op is one point, so with -benchmem the allocs/op
-// column is allocations per ingested point.
-func benchmarkIngestMode(b *testing.B, batchSize, workers int) {
+// Insert). One op is one point, so with -benchmem the allocs/op column
+// is allocations per ingested point.
+func benchmarkIngestMode(b *testing.B, batchSize int) {
 	const rate = 1000.0
 	warmup := 16000
 	pts := bench.ThroughputStream(warmup+200000, 1, rate)
@@ -315,7 +314,6 @@ func benchmarkIngestMode(b *testing.B, batchSize, workers int) {
 		Radius: 1.0, Rate: rate, Decay: edmstream.Decay{A: 0.99995, Lambda: rate},
 		Beta: 1e-4, Tau: 6.0, InitPoints: 500,
 		IndexPolicy: edmstream.IndexGrid, EvolutionInterval: -1,
-		IngestWorkers: workers,
 	}
 	c, err := edmstream.New(opts)
 	if err != nil {
@@ -358,12 +356,8 @@ func benchmarkIngestMode(b *testing.B, batchSize, workers int) {
 // sub-benchmark runs the paired experiment behind `edmbench
 // throughput` and reports both modes' throughput plus the speedup.
 func BenchmarkInsertBatch(b *testing.B) {
-	b.Run("per-point", func(b *testing.B) { benchmarkIngestMode(b, 1, 1) })
-	b.Run("batch-256", func(b *testing.B) { benchmarkIngestMode(b, bench.ThroughputBatchSize, 1) })
-	// The parallel mode routes each batch on a GOMAXPROCS-sized worker
-	// pool before the serial apply phase; on a single-CPU machine it
-	// degrades to the batch-256 path (the pool needs ≥ 2 workers).
-	b.Run("batch-256-parallel", func(b *testing.B) { benchmarkIngestMode(b, bench.ThroughputBatchSize, 0) })
+	b.Run("per-point", func(b *testing.B) { benchmarkIngestMode(b, 1) })
+	b.Run("batch-256", func(b *testing.B) { benchmarkIngestMode(b, bench.ThroughputBatchSize) })
 	b.Run("comparison", func(b *testing.B) {
 		s := benchScale()
 		var rep bench.ThroughputReport

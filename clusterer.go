@@ -37,11 +37,8 @@ func (c *Clusterer) Insert(p Point) error { return c.core.Insert(p) }
 // InsertBatch consumes a batch of stream points in order. It produces
 // exactly the same clustering as inserting the points one by one —
 // identical snapshots, cells and evolution events — but amortizes the
-// per-point bookkeeping and, when Options.IngestWorkers allows (the
-// default is GOMAXPROCS), routes the batch's points to their nearest
-// cells on a parallel worker pool before the serial apply phase
-// validates and commits the results, which makes it the preferred
-// ingestion call when points arrive in groups (network reads, log
+// per-point bookkeeping (runs of points absorbed by the same cell share
+// one dependency update), which makes it the preferred ingestion call when points arrive in groups (network reads, log
 // segments, bursty sources). Validation is all-or-nothing: if any
 // point is invalid the whole batch is rejected with no state change.
 func (c *Clusterer) InsertBatch(pts []Point) error { return c.core.InsertBatch(pts) }

@@ -6,8 +6,8 @@
 //
 //	experiments: table2, fig6, fig7, fig8, fig9, fig10, fig11, fig12,
 //	             fig13, fig14, fig15 (alias table4), fig16, fig17,
-//	             ablation, index, throughput, serve, parallel, e2e,
-//	             wal, overload, dr, tenants, all
+//	             ablation, index, throughput, serve, e2e, wal,
+//	             overload, dr, tenants, all
 //
 // Flags control the workload scale; the defaults are large enough to
 // reproduce the paper's curve shapes while finishing in minutes on a
@@ -18,25 +18,20 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"github.com/densitymountain/edmstream/internal/bench"
 )
 
-// throughputJSON, serveJSON and parallelJSON are the artifact paths
-// of the throughput, serve and parallel experiments (set by the
-// -json / -servejson / -parjson flags); minSpeedup is the parallel
-// experiment's assertion threshold.
+// The *JSON variables are the artifact paths the experiments write
+// (set by the -json, -servejson, -e2ejson, ... flags).
 var (
 	throughputJSON string
 	serveJSON      string
-	parallelJSON   string
 	e2eJSON        string
 	walJSON        string
 	overloadJSON   string
 	drJSON         string
 	tenancyJSON    string
-	minSpeedup     float64
 )
 
 func main() {
@@ -78,8 +73,6 @@ func main() {
 		"path of the machine-readable artifact the throughput experiment writes (empty disables it)")
 	flag.StringVar(&serveJSON, "servejson", "BENCH_serve.json",
 		"path of the machine-readable artifact the serve experiment writes (empty disables it)")
-	flag.StringVar(&parallelJSON, "parjson", "BENCH_parallel.json",
-		"path of the machine-readable artifact the parallel experiment writes (empty disables it)")
 	flag.StringVar(&e2eJSON, "e2ejson", "BENCH_e2e.json",
 		"path of the machine-readable artifact the e2e experiment writes (empty disables it)")
 	flag.StringVar(&walJSON, "waljson", "BENCH_wal.json",
@@ -90,8 +83,6 @@ func main() {
 		"path of the machine-readable artifact the disaster-recovery drill writes (empty disables it)")
 	flag.StringVar(&tenancyJSON, "tenancyjson", "BENCH_tenancy.json",
 		"path of the machine-readable artifact the tenants drill writes (empty disables it)")
-	flag.Float64Var(&minSpeedup, "minspeedup", 0,
-		"fail the parallel experiment when the 4-worker speedup falls below this ratio (0 disables; skipped on machines with fewer than 4 CPUs)")
 	flag.Usage = usage
 	flag.Parse()
 
@@ -130,9 +121,6 @@ experiments:
   serve     serving layer: incremental vs full snapshot refresh, and
             concurrent Assign queries (1 writer + 4 readers; writes the
             machine-readable BENCH_serve.json artifact)
-  parallel  parallel speculative routing: InsertBatch worker sweep with
-            speculation hit rate (writes the machine-readable
-            BENCH_parallel.json artifact; -minspeedup asserts scaling)
   e2e       end-to-end serving: boots edmserved on loopback and drives
             it with concurrent HTTP writers + readers; reports ingest
             points/sec, assign qps, per-endpoint latency quantiles and
@@ -313,30 +301,6 @@ func run(id string, s bench.Scale) error {
 			}
 			fmt.Printf("wrote %s\n", serveJSON)
 		}
-	case "parallel":
-		rep, err := bench.RunParallel(s)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatParallel(rep))
-		if parallelJSON != "" {
-			if err := bench.WriteParallelJSON(parallelJSON, rep); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", parallelJSON)
-		}
-		if minSpeedup > 0 {
-			// The assertion needs real hardware parallelism: with fewer
-			// than 4 CPUs — or GOMAXPROCS capped below 4, which bounds
-			// the pool regardless of the hardware — the 4-worker pool
-			// timeshares cores and the wall-clock ratio measures the
-			// scheduler, not the pipeline.
-			if procs := min(runtime.NumCPU(), runtime.GOMAXPROCS(0)); procs < 4 {
-				fmt.Printf("skipping speedup assertion: %d usable CPUs < 4 workers\n", procs)
-			} else if rep.SpeedupAt4 < minSpeedup {
-				return fmt.Errorf("parallel speedup at 4 workers %.2fx below required %.2fx", rep.SpeedupAt4, minSpeedup)
-			}
-		}
 	case "e2e":
 		rep, err := bench.RunE2E(s)
 		if err != nil {
@@ -398,7 +362,7 @@ func run(id string, s bench.Scale) error {
 			fmt.Printf("wrote %s\n", tenancyJSON)
 		}
 	case "all":
-		ids := []string{"table2", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "ablation", "index", "throughput", "serve", "parallel", "e2e", "wal", "overload", "dr", "tenants"}
+		ids := []string{"table2", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "ablation", "index", "throughput", "serve", "e2e", "wal", "overload", "dr", "tenants"}
 		for _, sub := range ids {
 			fmt.Printf("===== %s =====\n", sub)
 			if err := run(sub, s); err != nil {

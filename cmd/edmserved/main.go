@@ -55,7 +55,6 @@ type cliConfig struct {
 	tau             float64
 	adaptiveTau     bool
 	initPoints      int
-	ingestWorkers   int
 	maxEvents       int
 	maxBatch        int
 	maxPending      int
@@ -143,7 +142,6 @@ func registerFlags(fs *flag.FlagSet, c *cliConfig) {
 	fs.Float64Var(&c.tau, "tau", 0, "static cluster-separation threshold (0 = choose from the decision graph)")
 	fs.BoolVar(&c.adaptiveTau, "adaptive-tau", false, "re-tune tau as the stream evolves")
 	fs.IntVar(&c.initPoints, "init-points", 0, "points buffered before the DP-Tree initializes (0 = library default)")
-	fs.IntVar(&c.ingestWorkers, "ingest-workers", 0, "parallel route-phase workers per batch (0 = GOMAXPROCS)")
 	fs.IntVar(&c.maxEvents, "max-events", 0, "evolution log cap (0 = unlimited; cursors stay stable across trimming)")
 	fs.IntVar(&c.maxBatch, "max-batch", 0, "max points per coalesced batch (0 = default 4096)")
 	fs.IntVar(&c.maxPending, "max-pending", 0, "max queued ingest requests before backpressure (0 = default 1024)")
@@ -180,14 +178,13 @@ func registerFlags(fs *flag.FlagSet, c *cliConfig) {
 // single source of truth.
 func buildOptions(c cliConfig) edmstream.Options {
 	return edmstream.Options{
-		Radius:        c.radius,
-		Rate:          c.rate,
-		Beta:          c.beta,
-		Tau:           c.tau,
-		AdaptiveTau:   c.adaptiveTau,
-		InitPoints:    c.initPoints,
-		IngestWorkers: c.ingestWorkers,
-		MaxEvents:     c.maxEvents,
+		Radius:      c.radius,
+		Rate:        c.rate,
+		Beta:        c.beta,
+		Tau:         c.tau,
+		AdaptiveTau: c.adaptiveTau,
+		InitPoints:  c.initPoints,
+		MaxEvents:   c.maxEvents,
 	}
 }
 

@@ -20,7 +20,6 @@ func TestFlagMapping(t *testing.T) {
 		"-tau", "1.5",
 		"-adaptive-tau",
 		"-init-points", "250",
-		"-ingest-workers", "3",
 		"-max-events", "10000",
 		"-max-batch", "2048",
 		"-max-pending", "64",
@@ -34,7 +33,7 @@ func TestFlagMapping(t *testing.T) {
 
 	opts := buildOptions(cfg)
 	if opts.Radius != 0.75 || opts.Rate != 2000 || opts.Tau != 1.5 ||
-		!opts.AdaptiveTau || opts.InitPoints != 250 || opts.IngestWorkers != 3 ||
+		!opts.AdaptiveTau || opts.InitPoints != 250 ||
 		opts.MaxEvents != 10000 {
 		t.Errorf("options mapping wrong: %+v", opts)
 	}

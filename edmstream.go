@@ -29,10 +29,8 @@
 // When points arrive in groups (network reads, log segments, bursty
 // sources), feed them through InsertBatch instead of point-by-point
 // Insert: it produces exactly the same clustering while amortizing the
-// per-point bookkeeping across each batch and routing the batch's
-// points to their nearest cells on a parallel worker pool
-// (Options.IngestWorkers, default GOMAXPROCS) — the output is
-// byte-identical for every worker count.
+// per-point bookkeeping across each batch. Ingestion is serial: the
+// whole batch is applied on the calling goroutine.
 //
 // # Serving queries while the stream flows
 //

@@ -1,6 +1,8 @@
 package edmstream
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"sync"
@@ -182,34 +184,70 @@ func TestPublicOptionsValidation(t *testing.T) {
 	}
 }
 
-// TestPublicIngestWorkersValidation is the table test for the
-// IngestWorkers knob: zero means "GOMAXPROCS" and every non-negative
-// count is accepted, while negative counts fail validation.
+// TestPublicIngestWorkersValidation pins the deprecation contract of
+// the IngestWorkers option: it is ignored, so every value — negative
+// ones included — passes validation and yields the same published
+// snapshot, checkpoint bytes and zero speculation counters as the
+// default.
 func TestPublicIngestWorkersValidation(t *testing.T) {
 	tests := []struct {
 		name    string
 		workers int
-		wantErr bool
 	}{
-		{"default-gomaxprocs", 0, false},
-		{"single-threaded", 1, false},
-		{"explicit-pool", 4, false},
-		{"oversubscribed", 64, false},
-		{"negative", -1, true},
-		{"very-negative", -8, true},
+		{"default-gomaxprocs", 0},
+		{"single-threaded", 1},
+		{"explicit-pool", 4},
+		{"oversubscribed", 64},
+		{"negative", -1},
+		{"very-negative", -8},
 	}
+	rng := rand.New(rand.NewSource(3))
+	centers := [][]float64{{0, 0}, {10, 10}, {0, 10}}
+	pts := make([]Point, 3000)
+	for i := range pts {
+		c := centers[i%len(centers)]
+		pts[i] = NewPoint([]float64{c[0] + rng.NormFloat64()*0.5, c[1] + rng.NormFloat64()*0.5}, float64(i)/1000)
+	}
+	// ingest feeds pts in batches of 256 and returns the published
+	// snapshot and a checkpoint, both as bytes.
+	ingest := func(t *testing.T, opts Options) (snap, ckpt []byte) {
+		t.Helper()
+		c, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < len(pts); i += 256 {
+			if err := c.InsertBatch(pts[i:min(i+256, len(pts))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := c.Stats(); st.SpeculativeRoutes != 0 || st.SpeculationMisses != 0 {
+			t.Fatalf("speculation counters = %d/%d, want 0/0", st.SpeculativeRoutes, st.SpeculationMisses)
+		}
+		if snap, err = json.Marshal(c.LastSnapshot()); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := c.WriteCheckpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return snap, buf.Bytes()
+	}
+	base := Options{Radius: 0.8, Tau: 3, InitPoints: 200}
+	wantSnap, wantCkpt := ingest(t, base)
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			opts := Options{Radius: 1, IngestWorkers: tt.workers}
-			err := opts.Validate()
-			if tt.wantErr && err == nil {
-				t.Fatalf("IngestWorkers=%d accepted, want validation error", tt.workers)
-			}
-			if !tt.wantErr && err != nil {
+			opts := base
+			opts.IngestWorkers = tt.workers
+			if err := opts.Validate(); err != nil {
 				t.Fatalf("IngestWorkers=%d rejected: %v", tt.workers, err)
 			}
-			if _, err := New(opts); (err != nil) != tt.wantErr {
-				t.Fatalf("New with IngestWorkers=%d: err = %v, wantErr %v", tt.workers, err, tt.wantErr)
+			snap, ckpt := ingest(t, opts)
+			if !bytes.Equal(snap, wantSnap) {
+				t.Fatalf("IngestWorkers=%d published a different snapshot than the default", tt.workers)
+			}
+			if !bytes.Equal(ckpt, wantCkpt) {
+				t.Fatalf("IngestWorkers=%d wrote a different checkpoint than the default", tt.workers)
 			}
 		})
 	}

@@ -399,7 +399,7 @@ func RunDR(s Scale) (DRReport, error) {
 	// Byte-identical equivalence: a fresh engine fed the recovered
 	// prefix directly must publish the same clustering the restored
 	// server serves.
-	ref, err := edmstream.New(walOptions(s.Rate))
+	ref, err := edmstream.New(e2eOptions(s.Rate))
 	if err != nil {
 		return rep, fmt.Errorf("bench: building reference clusterer: %w", err)
 	}
@@ -493,7 +493,7 @@ func RunDRChild() error {
 		archive.Fault{Op: "get", After: 1, Every: 4},
 	)
 
-	c, err := edmstream.New(walOptions(rate))
+	c, err := edmstream.New(e2eOptions(rate))
 	if err != nil {
 		return err
 	}

@@ -106,7 +106,8 @@ type E2EReport struct {
 // e2eOptions mirrors the serve experiment's engine configuration
 // through the public API: grid index, slow decay for a stable
 // steady-state density ranking, evolution tracking on so the events
-// endpoint has traffic.
+// endpoint has traffic. The wal, overload, dr and tenants drills share
+// it for their children and their reference replays.
 func e2eOptions(rate float64) edmstream.Options {
 	return edmstream.Options{
 		Radius:      1.0,

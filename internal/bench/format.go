@@ -215,26 +215,6 @@ func FormatThroughput(rep ThroughputReport) string {
 	return b.String()
 }
 
-// FormatParallel renders the parallel-ingest worker sweep.
-func FormatParallel(rep ParallelReport) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Parallel speculative routing: InsertBatch worker sweep (bursty 2-D lattice stream, batch %d)\n",
-		rep.BatchSize)
-	fmt.Fprintf(&b, "%-8s %14s %9s %10s %15s %12s %9s\n",
-		"workers", "points/sec", "speedup", "spec-hit", "allocs/point", "active", "clusters")
-	for _, r := range rep.Results {
-		hit := "-"
-		if r.SpeculativeRoutes > 0 {
-			hit = fmt.Sprintf("%.4f", r.SpeculationHitRate)
-		}
-		fmt.Fprintf(&b, "%-8d %14.0f %8.2fx %10s %15.3f %12d %9d\n",
-			r.Workers, r.PointsPerSec, r.Speedup, hit, r.AllocsPerPoint, r.ActiveCells, r.Clusters)
-	}
-	fmt.Fprintf(&b, "speedup at 4 workers over single-threaded batch: %.2fx (GOMAXPROCS=%d, %d CPUs)\n",
-		rep.SpeedupAt4, rep.GoMaxProcs, rep.NumCPU)
-	return b.String()
-}
-
 // FormatServe renders the serving experiment: incremental vs full
 // snapshot-refresh latency, and concurrent query throughput.
 func FormatServe(rep ServeReport) string {

@@ -533,7 +533,7 @@ func RunOverloadChild() error {
 
 	ffs := wal.NewFaultFS(nil)
 	ffs.Inject(slow)
-	c, err := edmstream.New(walOptions(rate))
+	c, err := edmstream.New(e2eOptions(rate))
 	if err != nil {
 		return err
 	}

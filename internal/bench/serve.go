@@ -188,11 +188,7 @@ func ServeStream(n int, seed int64, rate float64) []stream.Point {
 }
 
 // ServeConfig parameterizes EDMStream for the serving workload: the
-// throughput experiment's configuration (including its single-threaded
-// ingest pin, which keeps the documented 1-writer + N-reader topology
-// exact — a route-phase worker pool would compete with the readers for
-// cores and change the contention regime the artifact tracks), but
-// with a slower decay
+// throughput experiment's configuration, but with a slower decay
 // (a = 0.99999 per point, steady-state stream weight 100k instead of
 // 20k) so accumulated cell densities dwarf individual bursts and the
 // density ranking — and with it the DP-Tree's dependency links — is

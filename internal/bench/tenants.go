@@ -209,7 +209,7 @@ func runTenantBaseline(s Scale, bodies [][]byte) (float64, error) {
 		return 0, err
 	}
 	defer os.RemoveAll(dir)
-	c, err := edmstream.New(walOptions(s.Rate))
+	c, err := edmstream.New(e2eOptions(s.Rate))
 	if err != nil {
 		return 0, err
 	}
@@ -404,7 +404,7 @@ func runTenantKill(s Scale, rep *TenancyReport, bodies [][][]byte, pts [][]strea
 		// fresh single-stream engine fed those batches directly must
 		// publish the identical clustering — tenancy, eviction churn
 		// and the crash were invisible to this stream's state.
-		ref, err := edmstream.New(walOptions(s.Rate))
+		ref, err := edmstream.New(e2eOptions(s.Rate))
 		if err != nil {
 			return err
 		}
@@ -492,7 +492,7 @@ func RunTenantsChild() error {
 		return fmt.Errorf("bench: EDMBENCH_TENANTS_CHECKPOINT_EVERY: %w", err)
 	}
 
-	c, err := edmstream.New(walOptions(rate))
+	c, err := edmstream.New(e2eOptions(rate))
 	if err != nil {
 		return err
 	}
@@ -503,7 +503,7 @@ func RunTenantsChild() error {
 		MemoryBudget:    budget,
 		EvictIdleAfter:  tenantEvictIdle,
 		SweepInterval:   tenantSweepInterval,
-		NewEngine:       func() (*edmstream.Clusterer, error) { return edmstream.New(walOptions(rate)) },
+		NewEngine:       func() (*edmstream.Clusterer, error) { return edmstream.New(e2eOptions(rate)) },
 	})
 	if err != nil {
 		return err

@@ -127,18 +127,10 @@ func ThroughputStream(n int, seed int64, rate float64) []stream.Point {
 // active cells) on the grid index, with automatic evolution checks
 // disabled — the experiment isolates the ingest path; the cost of a
 // cluster-update request is what the Fig. 9 experiment measures.
-// Maintenance sweeps still run on their regular schedule. Ingest is
-// pinned single-threaded: this experiment measures the serial batch
-// pipeline (run coalescing), which is also the controlled baseline of
-// the parallel experiment — leaving IngestWorkers at its GOMAXPROCS
-// default would fold route-phase parallelism into the batch row on
-// multi-core machines and break cross-revision comparability. The
-// worker scaling itself is what `edmbench parallel` measures (it
-// overrides IngestWorkers per run).
+// Maintenance sweeps still run on their regular schedule.
 func ThroughputConfig(rate float64) core.Config {
 	cfg := indexBenchConfig(rate, core.IndexGrid)
 	cfg.EvolutionInterval = -1
-	cfg.IngestWorkers = 1
 	return cfg
 }
 

@@ -109,17 +109,6 @@ type WALReport struct {
 	NumCPU        int           `json:"num_cpu"`
 }
 
-// walOptions is the engine configuration shared by the children, the
-// throughput servers and the parent's reference engine. It pins the
-// route phase to one worker like the serve experiment does: the drill
-// asserts byte-identical recovery across processes, so the topology
-// itself must be identical everywhere the stream is replayed.
-func walOptions(rate float64) edmstream.Options {
-	o := e2eOptions(rate)
-	o.IngestWorkers = 1
-	return o
-}
-
 // walPost sends one pre-rendered ingest body and requires a 200.
 // Shed responses retry through the shared backoff helper; transport
 // errors stay immediate, which is what lets the kill drill see the
@@ -231,7 +220,7 @@ func runWALThroughput(noSync bool, s Scale, bodies [][]byte, warmupBatches int) 
 	}
 	defer os.RemoveAll(dir)
 
-	c, err := edmstream.New(walOptions(s.Rate))
+	c, err := edmstream.New(e2eOptions(s.Rate))
 	if err != nil {
 		return WALThroughputResult{}, fmt.Errorf("bench: building clusterer: %w", err)
 	}
@@ -427,7 +416,7 @@ func runWALKill(s Scale, pts []stream.Point, bodies [][]byte, warmupBatches, liv
 	// Byte-identical equivalence: a fresh engine fed the recovered
 	// prefix directly must publish the same clustering the restarted
 	// server serves.
-	ref, err := edmstream.New(walOptions(s.Rate))
+	ref, err := edmstream.New(e2eOptions(s.Rate))
 	if err != nil {
 		return res, fmt.Errorf("bench: building reference clusterer: %w", err)
 	}
@@ -508,7 +497,7 @@ func RunWALChild() error {
 		return fmt.Errorf("bench: EDMBENCH_WAL_CHECKPOINT_EVERY: %w", err)
 	}
 
-	c, err := edmstream.New(walOptions(rate))
+	c, err := edmstream.New(e2eOptions(rate))
 	if err != nil {
 		return err
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -137,87 +136,22 @@ func TestBatchSequentialEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelRoutingEquivalence is the parallel-routing property
-// test: for every index policy, worker count and a spread of batch
-// sizes, InsertBatch with a parallel route phase must produce exactly
-// the same cells, snapshots, evolution events, lifecycle counters and
-// τ as per-point ingestion. Speculative routing against the frozen
-// index view plus apply-phase validation only changes where the
-// routing work runs, never its outcome.
-func TestParallelRoutingEquivalence(t *testing.T) {
-	streams := map[string][]stream.Point{
-		"bursty":  burstyStream(7, 3000, 3, 0.15),
-		"shuffed": burstyStream(42, 2500, 4, 0.3),
-	}
-	cfgs := map[string]Config{
-		"static": {
-			Radius: 0.8, Tau: 2.5, InitPoints: 200,
-			EvolutionInterval: 0.25, SweepInterval: 0.2,
-		},
-		"adaptive": {
-			Radius: 0.8, AdaptiveTau: true, Tau: 2.5, InitPoints: 200,
-			EvolutionInterval: 0.25, SweepInterval: 0.2,
-		},
-	}
-	workerCounts := []int{1, 2, 4, 8}
-	batchSizes := []int{250, 500}
-	const snapEvery = 500
-
-	for sname, pts := range streams {
-		for cname, cfg := range cfgs {
-			for _, policy := range []IndexPolicy{IndexGrid, IndexLinear} {
-				cfg := cfg
-				cfg.IndexPolicy = policy
-				seqRun, seqSnaps := equivRun(t, cfg, pts, snapEvery)
-				for _, workers := range workerCounts {
-					for _, bs := range batchSizes {
-						name := fmt.Sprintf("%s/%s/%s/w%d/b%d", sname, cname, policy, workers, bs)
-						t.Run(name, func(t *testing.T) {
-							wcfg := cfg
-							wcfg.IngestWorkers = workers
-							bRun, bSnaps := batchRun(t, wcfg, pts, bs, snapEvery)
-							compareSnapshots(t, bSnaps, seqSnaps)
-							compareCells(t, bRun, seqRun)
-							compareEvents(t, bRun.Events(), seqRun.Events())
-							bs1, bs2 := bRun.Stats(), seqRun.Stats()
-							if bs1.Points != bs2.Points || bs1.CellsCreated != bs2.CellsCreated ||
-								bs1.Promotions != bs2.Promotions || bs1.Demotions != bs2.Demotions ||
-								bs1.Deletions != bs2.Deletions {
-								t.Fatalf("lifecycle counters differ:\n  parallel   %+v\n  sequential %+v", bs1, bs2)
-							}
-							if bRun.Tau() != seqRun.Tau() {
-								t.Fatalf("τ differs: parallel %v, sequential %v", bRun.Tau(), seqRun.Tau())
-							}
-							switch {
-							case workers == 1 && bs1.SpeculativeRoutes != 0:
-								t.Fatalf("single-worker run reported %d speculative routes, want 0", bs1.SpeculativeRoutes)
-							case workers > 1 && bs >= minRouteBatch && bs1.SpeculativeRoutes == 0:
-								t.Fatal("parallel run never exercised the route phase")
-							}
-						})
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestParallelRoutingInvalidation pins the speculation-validation rule
-// on a stream built to invalidate speculations both ways mid-batch:
+// TestBatchMidBatchDeleteAndCreate feeds a batch built to change the
+// cell population under its own later points, and compares it against
+// per-point ingestion:
 //
 //   - cell A at the origin is created before the batch, then deleted by
 //     a mid-batch sweep (its idle time crosses DeleteDelay while the
 //     batch's earlier points advance the clock), so the batch's later
-//     origin points — speculatively routed to A against the frozen
-//     view — must detect the deletion and re-route live;
-//   - the batch's points at a fresh location are speculated outliers,
-//     and all but the first must be claimed by the cell the first one
-//     creates mid-batch.
+//     origin points must not land in A;
+//   - the batch's points at a fresh location find no cell, and all but
+//     the first must be claimed by the cell the first one creates
+//     mid-batch.
 //
 // The clustering must stay byte-identical to per-point ingestion, and
-// the misses must actually have happened (otherwise this test isn't
-// testing the validation paths).
-func TestParallelRoutingInvalidation(t *testing.T) {
+// the deletion must actually have happened (otherwise this test isn't
+// testing the deleted-cell path).
+func TestBatchMidBatchDeleteAndCreate(t *testing.T) {
 	cfg := Config{
 		Radius: 1.0, Tau: 3.0, InitPoints: 10,
 		SweepInterval: 0.2, DeleteDelay: 0.5, EvolutionInterval: 0.25,
@@ -241,74 +175,73 @@ func TestParallelRoutingInvalidation(t *testing.T) {
 	// sweeps run mid-batch), 20 points at a fresh location get claimed
 	// by a mid-batch cell, and 20 origin points arrive after A's
 	// deletion.
-	for i := 0; i < 120; i++ {
+	const far, fresh = 120, 20
+	for i := 0; i < far; i++ {
 		emit(&batch, 100+jit(), 100+jit(), 0.02+float64(i)*0.008)
 	}
-	for i := 0; i < 20; i++ {
+	for i := 0; i < fresh; i++ {
 		emit(&batch, 50+jit(), 50+jit(), 0.985+float64(i)*0.0001)
 	}
 	for i := 0; i < 20; i++ {
 		emit(&batch, jit(), jit(), 0.99+float64(i)*0.0001)
 	}
 
-	run := func(workers int) *EDMStream {
-		c := cfg
-		c.IngestWorkers = workers
-		e, err := New(c)
+	// run returns the engine, the ID of cell A and, for the batched
+	// run, the batch's per-point acks.
+	run := func(batched bool) (*EDMStream, int64, []int64) {
+		e, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range pre {
-			if err := e.Insert(p); err != nil {
+		preAcks, err := e.InsertBatchAssigned(pre, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var acks []int64
+		if batched {
+			if acks, err = e.InsertBatchAssigned(batch, nil); err != nil {
 				t.Fatal(err)
 			}
-		}
-		if workers == 1 {
-			// Reference: strict per-point ingestion.
+		} else {
 			for _, p := range batch {
 				if err := e.Insert(p); err != nil {
 					t.Fatal(err)
 				}
 			}
-		} else if err := e.InsertBatch(batch); err != nil {
-			t.Fatal(err)
 		}
 		if err := e.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
-		return e
+		return e, preAcks[len(preAcks)-1], acks
 	}
 
-	seq := run(1)
-	par := run(4)
-	compareSnapshots(t, []Snapshot{par.Snapshot()}, []Snapshot{seq.Snapshot()})
-	compareCells(t, par, seq)
-	compareEvents(t, par.Events(), seq.Events())
+	seq, _, _ := run(false)
+	bat, cellA, acks := run(true)
+	compareSnapshots(t, []Snapshot{bat.Snapshot()}, []Snapshot{seq.Snapshot()})
+	compareCells(t, bat, seq)
+	compareEvents(t, bat.Events(), seq.Events())
 
-	st := par.Stats()
-	if st.SpeculativeRoutes != int64(len(batch)) {
-		t.Fatalf("SpeculativeRoutes = %d, want %d (whole batch routed in parallel)", st.SpeculativeRoutes, len(batch))
-	}
-	if st.Deletions == 0 {
+	if bat.Stats().Deletions == 0 {
 		t.Fatal("no mid-batch deletion happened; the scenario no longer exercises the deleted-cell path")
 	}
-	// 19 fresh-location points claimed by a mid-batch cell, 20 origin
-	// points speculated to the deleted A: at least that many overrides.
-	if st.SpeculationMisses < 39 {
-		t.Fatalf("SpeculationMisses = %d, want >= 39 (both invalidation kinds must fire)", st.SpeculationMisses)
+	// Every fresh-location point lands in the one cell the first of
+	// them created, and no origin point lands in the deleted A.
+	for i, id := range acks[far : far+fresh] {
+		if id != acks[far] {
+			t.Fatalf("fresh-location point %d acked cell %d, want the mid-batch cell %d", i, id, acks[far])
+		}
 	}
-	if st.SpeculationMisses == st.SpeculativeRoutes {
-		t.Fatal("every speculation missed; the valid-speculation path was never exercised")
+	for i, id := range acks[far+fresh:] {
+		if id == cellA {
+			t.Fatalf("origin point %d acked the deleted cell %d", i, id)
+		}
 	}
 }
 
 // TestBatchWholeStream feeds the entire stream as one batch and
-// compares the final state against point-by-point ingestion — serially
-// and with a parallel route phase. The stream needs one warm-up point
-// before the big batch so the route phase has seeds to freeze; the
-// batch then creates hundreds of cells mid-apply, which also drives
-// speculation validation past maxRouteFold into its live-re-probe
-// fallback.
+// compares the final state against point-by-point ingestion. The batch
+// creates hundreds of cells and runs every sweep and evolution check
+// mid-apply.
 func TestBatchWholeStream(t *testing.T) {
 	pts := burstyStream(11, 2000, 3, 0.2)
 	cfg := Config{Radius: 0.7, Tau: 2, InitPoints: 150, EvolutionInterval: 0.25, SweepInterval: 0.2}
@@ -322,33 +255,18 @@ func TestBatchWholeStream(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, workers := range []int{1, 4} {
-		wcfg := cfg
-		wcfg.IngestWorkers = workers
-		whole, err := New(wcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := whole.Insert(pts[0]); err != nil {
-			t.Fatal(err)
-		}
-		if err := whole.InsertBatch(pts[1:]); err != nil {
-			t.Fatal(err)
-		}
-		compareSnapshots(t, []Snapshot{whole.Snapshot()}, []Snapshot{seq.Snapshot()})
-		compareCells(t, whole, seq)
-		compareEvents(t, whole.Events(), seq.Events())
-		if err := whole.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-		if st := whole.Stats(); workers > 1 {
-			if st.SpeculativeRoutes != int64(len(pts)-1) {
-				t.Fatalf("workers=%d: SpeculativeRoutes = %d, want %d", workers, st.SpeculativeRoutes, len(pts)-1)
-			}
-			if st.CellsCreated <= maxRouteFold+1 {
-				t.Fatalf("whole-stream batch created only %d cells; maxRouteFold fallback not exercised", st.CellsCreated)
-			}
-		}
+	whole, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := whole.InsertBatch(pts); err != nil {
+		t.Fatal(err)
+	}
+	compareSnapshots(t, []Snapshot{whole.Snapshot()}, []Snapshot{seq.Snapshot()})
+	compareCells(t, whole, seq)
+	compareEvents(t, whole.Events(), seq.Events())
+	if err := whole.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -184,9 +184,8 @@ type ckptState struct {
 // fingerprint summarizes every configuration field that influences
 // clustering output or observable statistics; a checkpoint only
 // restores into an engine configured identically. %g/%v round-trip
-// float64 exactly (shortest unique representation). IngestWorkers is
-// excluded — the output is byte-identical for every worker count — and
-// TauSelector is excluded because it only runs at initialization,
+// float64 exactly (shortest unique representation). TauSelector is
+// excluded because it only runs at initialization,
 // which the checkpoint has already passed through (an uninitialized
 // checkpoint re-runs the selector of the restoring engine, which the
 // caller supplies along with the rest of the configuration).
@@ -398,14 +397,22 @@ func (e *EDMStream) restore(st *ckptState) error {
 		return fmt.Errorf("core: checkpoint has unknown index kind %q", st.IndexKind)
 	}
 
+	// Cell IDs index the dense slab, so they are checked before any
+	// cell is placed: every ID was allocated below NextCellID, which
+	// counts the cells ever created.
+	if st.NextCellID != st.Stats.CellsCreated || st.Stats.CellsCreated > st.Stats.Points {
+		return fmt.Errorf("core: checkpoint counts %d cell IDs, %d cells created and %d points",
+			st.NextCellID, st.Stats.CellsCreated, st.Stats.Points)
+	}
+
 	// Pass 1: materialize cells in ID order. Inserting into the seed
 	// index in ID order is exact: every index search resolves distance
 	// ties toward the lowest cell ID, so insertion order is not
 	// observable.
 	for i := range st.Cells {
 		cc := &st.Cells[i]
-		if e.cells.get(cc.ID) != nil {
-			return fmt.Errorf("core: checkpoint repeats cell %d", cc.ID)
+		if cc.ID < 0 || cc.ID >= st.NextCellID || (i > 0 && cc.ID <= st.Cells[i-1].ID) {
+			return fmt.Errorf("core: checkpoint cell %d is out of order or outside [0, %d)", cc.ID, st.NextCellID)
 		}
 		c := &Cell{
 			id:            cc.ID,

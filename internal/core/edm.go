@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -84,22 +83,6 @@ type EDMStream struct {
 	onProbe    func(id int64, d float64)
 	probeStamp int64
 
-	// Parallel route phase (see route.go). workers is the resolved
-	// ingest worker count (Config.IngestWorkers, with 0 mapped to
-	// GOMAXPROCS at construction); pool holds the lazily started
-	// persistent worker pool, routed and job the phase's reusable
-	// buffers and shared state; batchNew, while non-nil, collects
-	// every cell created since the current batch's route snapshot was
-	// frozen (addCell appends to it) so the apply phase can validate
-	// speculations against them, with batchNewBuf keeping its backing
-	// array across batches.
-	workers     int
-	pool        *routePool
-	routed      []routedPoint
-	job         routeJob
-	batchNew    []*Cell
-	batchNewBuf []*Cell
-
 	// acks, while non-nil, collects the ID of the cluster-cell that
 	// absorbed (or was seeded by) each ingested point, in point order.
 	// Set only for the duration of an InsertBatchAssigned call; the
@@ -146,7 +129,6 @@ type statsMirror struct {
 	depCandidates, filteredDensity, filteredTriangle, depRelinks atomic.Int64
 	depUpdateNanos, assignNanos                                  atomic.Int64
 	seedCandidates, evolutionEvents                              atomic.Int64
-	speculativeRoutes, speculationMisses                         atomic.Int64
 }
 
 // New creates an EDMStream instance with the given configuration.
@@ -161,10 +143,6 @@ func New(cfg Config) (*EDMStream, error) {
 		res:     newReservoir(),
 		lnDecay: cfg.Decay.Lambda * math.Log(1/cfg.Decay.A),
 		tracker: newEvolutionTracker(cfg.MaxEvents),
-		workers: cfg.IngestWorkers,
-	}
-	if e.workers == 0 {
-		e.workers = runtime.GOMAXPROCS(0)
 	}
 	e.tree.slab = &e.cells
 	e.onProbe = func(id int64, d float64) {
@@ -218,18 +196,12 @@ func (e *EDMStream) IndexKind() string {
 }
 
 // addCell registers a newly created cell in the cell slab and the seed
-// index, and stamps its decay-normalized log-density key. While a
-// routed batch is being applied the cell is also recorded in batchNew:
-// it postdates the batch's route snapshot, so speculation validation
-// must consider it.
+// index, and stamps its decay-normalized log-density key.
 func (e *EDMStream) addCell(c *Cell) {
 	e.ensureIndex(c.seed)
 	e.cells.put(c)
 	e.seedIdx.Insert(c.id, c.seed)
 	e.refreshLogNorm(c)
-	if e.batchNew != nil {
-		e.batchNew = append(e.batchNew, c)
-	}
 }
 
 // removeCell unregisters a deleted cell.
@@ -278,8 +250,6 @@ func (e *EDMStream) Stats() Stats {
 		AssignTime:           time.Duration(m.assignNanos.Load()),
 		SeedCandidates:       m.seedCandidates.Load(),
 		EvolutionEvents:      m.evolutionEvents.Load(),
-		SpeculativeRoutes:    m.speculativeRoutes.Load(),
-		SpeculationMisses:    m.speculationMisses.Load(),
 	}
 }
 
@@ -339,12 +309,6 @@ func (e *EDMStream) publishStats() {
 	if s.EvolutionEvents != o.EvolutionEvents {
 		m.evolutionEvents.Store(s.EvolutionEvents)
 	}
-	if s.SpeculativeRoutes != o.SpeculativeRoutes {
-		m.speculativeRoutes.Store(s.SpeculativeRoutes)
-	}
-	if s.SpeculationMisses != o.SpeculationMisses {
-		m.speculationMisses.Store(s.SpeculationMisses)
-	}
 	e.statsShadow = s
 }
 
@@ -373,7 +337,7 @@ func (e *EDMStream) Insert(p stream.Point) error {
 		return err
 	}
 	e.one[0] = p
-	e.ingest(e.one[:], nil)
+	e.ingest(e.one[:])
 	e.publishStats()
 	return nil
 }
@@ -384,16 +348,8 @@ func (e *EDMStream) Insert(p stream.Point) error {
 // bookkeeping: validation runs up front for the whole batch, and runs
 // of consecutive points absorbed by the same active cell share one
 // density-band dependency update, one log-density refresh and one
-// density-band rebucket instead of one each per point.
-//
-// When more than one ingest worker is configured (Config.IngestWorkers;
-// the default is GOMAXPROCS) and the batch is large enough to pay for
-// the join, the routing work — finding each point's nearest seed,
-// which dominates the ingest cost — runs first on a parallel worker
-// pool against an epoch-frozen view of the seed index, and the serial
-// apply phase validates each speculation against the state it has
-// changed since (see route.go). The clustering output is byte-identical
-// for every worker count.
+// density-band rebucket instead of one each per point. The whole batch
+// is applied serially on the calling goroutine.
 //
 // Validation is all-or-nothing: if any point is invalid the whole
 // batch is rejected with no state change. An empty batch is a no-op.
@@ -403,13 +359,13 @@ func (e *EDMStream) InsertBatch(pts []stream.Point) error {
 			return fmt.Errorf("core: batch point %d rejected: %w", i, err)
 		}
 	}
-	e.ingest(pts, e.routeBatch(pts))
+	e.ingest(pts)
 	e.publishStats()
 	return nil
 }
 
 // InsertBatchAssigned consumes a batch exactly like InsertBatch —
-// identical validation, routing, clustering output — and additionally
+// identical validation and clustering output — and additionally
 // records, per point, the ID of the cluster-cell that absorbed it (the
 // new cell's ID when the point seeded one). dst is overwritten,
 // reusing its backing array, and returned; pass nil to allocate. On
@@ -432,7 +388,7 @@ func (e *EDMStream) InsertBatchAssigned(pts []stream.Point, dst []int64) ([]int6
 		dst = make([]int64, 0, len(pts))
 	}
 	e.acks = &dst
-	e.ingest(pts, e.routeBatch(pts))
+	e.ingest(pts)
 	e.acks = nil
 	e.publishStats()
 	return dst, nil
@@ -464,23 +420,9 @@ type absorbRun struct {
 // at a specific point), sweeps, evolution checks and initialization —
 // flushes the open run first so it observes exactly the state a
 // point-by-point ingestion would have produced.
-//
-// routed, when non-nil, carries one pre-computed speculation per point
-// from the parallel route phase; each is validated (and repaired or
-// re-routed when the apply phase invalidated it) by resolveRouted
-// instead of probing the live index. Cells created while applying a
-// routed batch are collected in batchNew for that validation.
-func (e *EDMStream) ingest(pts []stream.Point, routed []routedPoint) {
+func (e *EDMStream) ingest(pts []stream.Point) {
 	var run absorbRun
 	detailed := e.cfg.DetailedStats
-	if routed != nil {
-		if e.batchNewBuf == nil {
-			// batchNew non-nil is the "collecting" flag addCell checks,
-			// so the buffer must exist even before any cell is recorded.
-			e.batchNewBuf = make([]*Cell, 0, 16)
-		}
-		e.batchNew = e.batchNewBuf[:0]
-	}
 	for i := range pts {
 		p := pts[i]
 		if p.Time > e.now {
@@ -494,13 +436,7 @@ func (e *EDMStream) ingest(pts []stream.Point, routed []routedPoint) {
 		if detailed {
 			start = time.Now()
 		}
-		var cell *Cell
-		var absorbed bool
-		if routed != nil {
-			cell, absorbed = e.resolveRouted(p, routed[i])
-		} else {
-			cell, _, absorbed = e.nearestSeed(p)
-		}
+		cell, absorbed := e.nearestSeed(p)
 		if detailed {
 			e.stats.AssignTime += time.Since(start)
 		}
@@ -570,14 +506,6 @@ func (e *EDMStream) ingest(pts []stream.Point, routed []routedPoint) {
 		}
 	}
 	e.flushRun(&run)
-	if routed != nil {
-		// Zero the recorded pointers before truncating: the backing
-		// array survives into the next batch and must not pin cells —
-		// possibly already deleted — until it happens to be overwritten.
-		clear(e.batchNew)
-		e.batchNewBuf = e.batchNew[:0]
-		e.batchNew = nil
-	}
 }
 
 // flushRun applies the deferred maintenance of an open absorption run:
@@ -603,19 +531,19 @@ func (e *EDMStream) flushRun(run *absorbRun) {
 }
 
 // nearestSeed returns the cell whose seed is closest to p among those
-// within the cell radius, with the distance; ok is false when no cell
-// can absorb the point. The per-cell distances measured during the
+// within the cell radius; ok is false when no cell can absorb the
+// point. The per-cell distances measured during the
 // probe are stamped onto the cells so the triangle-inequality filter
 // can reuse them at no extra cost; with the grid index only the cells
 // in the probed buckets are stamped, which merely narrows where that
 // filter applies (Theorem 2 skips are optional, never required).
-func (e *EDMStream) nearestSeed(p stream.Point) (*Cell, float64, bool) {
+func (e *EDMStream) nearestSeed(p stream.Point) (*Cell, bool) {
 	e.probeStamp = e.stats.Points
-	id, d, ok := e.seedIdx.NearestWithin(p, e.cfg.Radius, e.onProbe)
+	id, _, ok := e.seedIdx.NearestWithin(p, e.cfg.Radius, e.onProbe)
 	if !ok {
-		return nil, 0, false
+		return nil, false
 	}
-	return e.cells.get(id), d, true
+	return e.cells.get(id), true
 }
 
 // logBandSlack widens the density filter's log-domain band to absorb

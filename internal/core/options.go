@@ -167,14 +167,6 @@ type Config struct {
 	// low-dimensional Euclidean streams and the linear scan otherwise;
 	// both produce identical clustering output.
 	IndexPolicy IndexPolicy
-	// IngestWorkers is the number of workers InsertBatch's parallel
-	// route phase may use to find each batch point's nearest seed
-	// against an epoch-frozen index view before the serial apply phase
-	// validates and consumes the results. Zero (the default) resolves
-	// to GOMAXPROCS at construction time; one disables the parallel
-	// phase entirely; negative values are rejected by Validate. Every
-	// worker count produces byte-identical clustering output.
-	IngestWorkers int
 	// DetailedStats enables the wall-clock instrumentation behind
 	// Stats.AssignTime and Stats.DependencyUpdateTime (the Fig. 11
 	// quantities). It is off by default because the two time.Now()
@@ -270,9 +262,6 @@ func (c Config) Validate() error {
 	}
 	if d.IndexPolicy > IndexLinear {
 		return fmt.Errorf("core: unknown index policy %v", c.IndexPolicy)
-	}
-	if d.IngestWorkers < 0 {
-		return fmt.Errorf("core: IngestWorkers must be non-negative (0 means GOMAXPROCS), got %d", c.IngestWorkers)
 	}
 	return nil
 }

@@ -35,17 +35,11 @@ type Stats struct {
 	// nearest-seed probes. With the linear index it equals
 	// Points × live cells; the grid index keeps it near the local
 	// neighborhood size, which is what makes assignment sublinear.
-	// Points routed by the parallel route phase probe a frozen view
-	// and are not counted here.
 	SeedCandidates int64
-	// SpeculativeRoutes is the number of batch points routed by the
-	// parallel route phase against an epoch-frozen view of the seed
-	// index; SpeculationMisses counts how many of those speculations
-	// the serial apply phase had to override because of state it
-	// changed after the snapshot was frozen (the speculated cell was
-	// deleted by a mid-batch sweep, or a cell created mid-batch
-	// claimed the point). The speculation hit rate is
-	// 1 − SpeculationMisses/SpeculativeRoutes.
+	// Deprecated: SpeculativeRoutes and SpeculationMisses counted the
+	// parallel route phase of batched ingestion, which has been
+	// removed; ingestion is serial and both are always zero. They are
+	// kept for source compatibility and an unchanged checkpoint layout.
 	SpeculativeRoutes, SpeculationMisses int64
 	// EvolutionEvents is the number of evolution events recorded so far.
 	EvolutionEvents int64

@@ -51,11 +51,6 @@ type Grid struct {
 	winCenter   []int64
 	winBuckets  []*gridBucket
 	winValid    bool
-
-	// view is the reusable epoch-frozen read-only handle returned by
-	// View() (see view.go); keeping it on the grid makes freezing
-	// allocation-free.
-	view gridView
 }
 
 type gridBucket struct {
@@ -78,13 +73,11 @@ func NewGrid(side float64) *Grid {
 	if !(side > 0) {
 		panic("index: grid bucket side must be positive")
 	}
-	g := &Grid{
+	return &Grid{
 		side:       side,
 		buckets:    make(map[uint64]*gridBucket),
 		vectorless: make(map[int64]stream.Point),
 	}
-	g.view.g = g
-	return g
 }
 
 // Len implements SeedIndex.

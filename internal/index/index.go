@@ -44,15 +44,6 @@ type SeedIndex interface {
 	// distance and backs dependency searches (nearest cell with
 	// higher density).
 	NearestWhere(p stream.Point, pred func(id int64) bool) (id int64, d float64, ok bool)
-	// View returns an epoch-frozen, read-only view of the index for
-	// concurrent nearest-seed probes (the parallel route phase of
-	// batched ingestion). The view shares the index's storage and is
-	// valid only until the next Insert or Remove; probing a stale view
-	// panics. Within that window any number of goroutines may probe
-	// the view concurrently, each with its own RouteScratch, and every
-	// probe answers exactly what NearestWithin would (same lowest-ID
-	// tie-break) without invoking onDist callbacks.
-	View() View
 	// Kind returns a short identifier ("grid", "linear") used in
 	// stats and benchmark reports.
 	Kind() string

@@ -14,10 +14,6 @@ import (
 type Linear struct {
 	entries []linearEntry
 	pos     map[int64]int
-	// gen counts mutations; it epoch-stamps the read-only views handed
-	// out by View() (see view.go) so a stale view can be detected.
-	gen  uint64
-	view linearView
 }
 
 type linearEntry struct {
@@ -27,9 +23,7 @@ type linearEntry struct {
 
 // NewLinear creates an empty linear index.
 func NewLinear() *Linear {
-	l := &Linear{pos: make(map[int64]int)}
-	l.view.l = l
-	return l
+	return &Linear{pos: make(map[int64]int)}
 }
 
 // Len implements SeedIndex.
@@ -40,14 +34,12 @@ func (l *Linear) Kind() string { return "linear" }
 
 // Insert implements SeedIndex.
 func (l *Linear) Insert(id int64, p stream.Point) {
-	l.gen++
 	l.pos[id] = len(l.entries)
 	l.entries = append(l.entries, linearEntry{id: id, pt: p})
 }
 
 // Remove implements SeedIndex (O(1) swap-remove).
 func (l *Linear) Remove(id int64, _ stream.Point) {
-	l.gen++
 	i, ok := l.pos[id]
 	if !ok {
 		return

@@ -6,10 +6,10 @@
 //   - Writes (POST /v1/ingest) flow through a request coalescer: one
 //     writer owns the clusterer and group-commits — everything that
 //     queued while the previous commit ran goes into a single
-//     InsertBatchAssigned call, so the engine's parallel speculative
-//     router sees real batches under concurrent load, a lone request
-//     never waits, and every request still gets its own per-point cell
-//     acks.
+//     InsertBatchAssigned call, so the engine amortizes its per-point
+//     bookkeeping over real batches under concurrent load, a lone
+//     request never waits, and every request still gets its own
+//     per-point cell acks.
 //   - Reads (POST /v1/assign, GET /v1/snapshot, /v1/clusters/{id},
 //     /v1/events, /v1/stats) are served straight from the engine's
 //     atomically published state on the request goroutine — they never

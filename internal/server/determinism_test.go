@@ -24,7 +24,7 @@ func TestDeterminismThroughNetworkPath(t *testing.T) {
 		n     = 6000
 		batch = 250
 	)
-	opts := edmstream.Options{Radius: 1.2, InitPoints: 200, IngestWorkers: 1}
+	opts := edmstream.Options{Radius: 1.2, InitPoints: 200}
 
 	// One deterministic drifting stream with explicit ids and times.
 	rng := rand.New(rand.NewSource(99))

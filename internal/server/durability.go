@@ -313,11 +313,15 @@ const (
 	pointKindTokens = 1
 )
 
+// minPointBytes is the smallest encoded point: id, time and label
+// (u64 each), the kind byte and the u32 dimension or token count.
+const minPointBytes = 8 + 8 + 8 + 1 + 4
+
 // encodeBatchRecord serializes a batch for the WAL.
 func encodeBatchRecord(pts []edmstream.Point) []byte {
 	n := 5
 	for i := range pts {
-		n += 8 + 8 + 8 + 1 + 4
+		n += minPointBytes
 		if pts[i].Tokens != nil {
 			for tok := range pts[i].Tokens {
 				n += 4 + len(tok)
@@ -371,8 +375,10 @@ func decodeBatchRecord(payload []byte) ([]edmstream.Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	if int(count) > len(payload) { // each point takes well over a byte
-		return nil, fmt.Errorf("batch record claims %d points in %d bytes", count, len(payload))
+	// Bound the claimed count by the bytes left before sizing the
+	// slice, so a short record cannot allocate for millions of points.
+	if int(count) > len(r.buf)/minPointBytes {
+		return nil, fmt.Errorf("batch record claims %d points in %d bytes", count, len(r.buf))
 	}
 	pts := make([]edmstream.Point, count)
 	for i := range pts {

@@ -295,25 +295,8 @@ func TestBatchRecordCodec(t *testing.T) {
 		t.Fatalf("decoded %d points, want %d", len(got), len(pts))
 	}
 	for i := range pts {
-		p, q := pts[i], got[i]
-		if p.ID != q.ID || p.Label != q.Label || p.Time != q.Time {
-			t.Fatalf("point %d scalars differ: %+v vs %+v", i, p, q)
-		}
-		if len(p.Vector) != len(q.Vector) {
-			t.Fatalf("point %d vector length differs", i)
-		}
-		for j := range p.Vector {
-			if p.Vector[j] != q.Vector[j] {
-				t.Fatalf("point %d coordinate %d differs", i, j)
-			}
-		}
-		if (p.Tokens == nil) != (q.Tokens == nil) || p.Tokens.Len() != q.Tokens.Len() {
-			t.Fatalf("point %d tokens differ", i)
-		}
-		for _, tok := range p.Tokens.Tokens() {
-			if !q.Tokens.Contains(tok) {
-				t.Fatalf("point %d lost token %q", i, tok)
-			}
+		if !samePoint(pts[i], got[i]) {
+			t.Fatalf("point %d differs after the round trip:\n  %+v\n  %+v", i, pts[i], got[i])
 		}
 	}
 	// Deterministic bytes: re-encoding the decoded batch is identical
@@ -358,5 +341,26 @@ func TestBatchRecordRejectsHugeTokenCount(t *testing.T) {
 	// sizing a set for the claimed count first.
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
 		t.Fatalf("decoding the 40-byte record allocated %d bytes", alloc)
+	}
+}
+
+// TestBatchRecordRejectsHugePointCount: a record claiming more points
+// than its bytes can hold (each point needs at least minPointBytes) is
+// an error, not an allocation of 56 bytes per claimed point. The 1 MiB
+// record claims 1,048,000 points, which would fit a one-byte-per-point
+// bound but not a 29-byte one.
+func TestBatchRecordRejectsHugePointCount(t *testing.T) {
+	rec := make([]byte, 1<<20)
+	rec[0] = batchRecordVersion
+	binary.LittleEndian.PutUint32(rec[1:], 1_048_000)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := decodeBatchRecord(rec)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("decodeBatchRecord accepted a 1 MiB record claiming 1,048,000 points")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 2<<20 {
+		t.Fatalf("decoding the 1 MiB record allocated %d bytes", alloc)
 	}
 }

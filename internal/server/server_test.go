@@ -18,7 +18,7 @@ import (
 
 // testOptions is a small, fast-initializing engine configuration.
 func testOptions() edmstream.Options {
-	return edmstream.Options{Radius: 1.5, InitPoints: 100, IngestWorkers: 1}
+	return edmstream.Options{Radius: 1.5, InitPoints: 100}
 }
 
 // startServer builds a clusterer + server, starts it on an ephemeral

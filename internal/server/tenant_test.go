@@ -425,7 +425,7 @@ func TestPerTenantDeterminism(t *testing.T) {
 		n     = 3000
 		batch = 150
 	)
-	opts := edmstream.Options{Radius: 1.2, InitPoints: 200, IngestWorkers: 1}
+	opts := edmstream.Options{Radius: 1.2, InitPoints: 200}
 	cfg := Config{
 		NewEngine:  func() (*edmstream.Clusterer, error) { return edmstream.New(opts) },
 		WriterPool: 2,

@@ -68,15 +68,11 @@ type Options struct {
 	// policies produce identical clustering output; the knob exists
 	// for benchmarking and for overriding the auto heuristic.
 	IndexPolicy IndexPolicy
-	// IngestWorkers is the number of workers InsertBatch may use for
-	// its parallel route phase, which finds each batch point's nearest
-	// cell against a frozen view of the seed index before the serial
-	// apply phase validates and commits the results. Zero (the
-	// default) resolves to GOMAXPROCS; one keeps batched ingestion
-	// fully single-threaded (the pre-parallel behavior); negative
-	// values fail validation. The clustering output is byte-identical
-	// for every worker count — parallelism only changes how fast the
-	// routing work is done, never its outcome.
+	// Deprecated: IngestWorkers is ignored. It sized the parallel route
+	// phase of InsertBatch, which has been removed: batches are always
+	// ingested serially on the calling goroutine. Every value,
+	// including a negative one, is accepted and yields the same
+	// clustering.
 	IngestWorkers int
 	// DetailedStats enables the per-point wall-clock instrumentation
 	// behind Stats.AssignTime and Stats.DependencyUpdateTime. It is off
@@ -103,7 +99,6 @@ func (o Options) toCore() core.Config {
 		DeleteDelay:       o.DeleteDelay,
 		MaxEvents:         o.MaxEvents,
 		IndexPolicy:       o.IndexPolicy,
-		IngestWorkers:     o.IngestWorkers,
 		DetailedStats:     o.DetailedStats,
 	}
 	if o.DisableFilters {
