@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -362,5 +363,81 @@ func TestBatchRecordRejectsHugePointCount(t *testing.T) {
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 2<<20 {
 		t.Fatalf("decoding the 1 MiB record allocated %d bytes", alloc)
+	}
+}
+
+// TestBatchRecordMinimalPointsAtBound: the point-count bound is exact.
+// A record packed with minimal points (minPointBytes each: no
+// coordinates, or an empty token set) decodes at the count its bytes
+// hold, and the same bytes claiming one point more fail the bound
+// rather than a later read.
+func TestBatchRecordMinimalPointsAtBound(t *testing.T) {
+	tests := []struct {
+		name  string
+		point edmstream.Point
+	}{
+		{"vector", edmstream.Point{ID: 1, Vector: []float64{}, Label: edmstream.NoLabel}},
+		{"tokens", edmstream.Point{ID: 2, Tokens: edmstream.NewTokenSet(), Label: 4, Time: 1}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			// 32 points: enough that a bound one byte looser or tighter
+			// than minPointBytes changes the outcome.
+			pts := make([]edmstream.Point, 32)
+			for i := range pts {
+				pts[i] = tt.point
+			}
+			rec := encodeBatchRecord(pts)
+			if got, want := len(rec)-5, len(pts)*minPointBytes; got != want {
+				t.Fatalf("%d minimal points encode to %d bytes, want %d", len(pts), got, want)
+			}
+			got, err := decodeBatchRecord(rec)
+			if err != nil {
+				t.Fatalf("record of %d minimal points rejected: %v", len(pts), err)
+			}
+			if len(got) != len(pts) {
+				t.Fatalf("decoded %d points, want %d", len(got), len(pts))
+			}
+			for i := range pts {
+				if !samePoint(pts[i], got[i]) {
+					t.Fatalf("point %d differs after the round trip:\n  %+v\n  %+v", i, pts[i], got[i])
+				}
+			}
+			binary.LittleEndian.PutUint32(rec[1:], uint32(len(pts)+1))
+			if _, err := decodeBatchRecord(rec); err == nil || !strings.Contains(err.Error(), "claims") {
+				t.Fatalf("claiming %d points in the bytes of %d: err = %v, want the count bound", len(pts)+1, len(pts), err)
+			}
+		})
+	}
+}
+
+// TestBatchRecordRejectsMalformed: malformed records that a round trip
+// cannot tell apart from good ones are errors, and none of them
+// allocates for what it claims before failing.
+func TestBatchRecordRejectsMalformed(t *testing.T) {
+	wrongVersion := encodeBatchRecord([]edmstream.Point{{ID: 1, Vector: []float64{1, 2}}})
+	wrongVersion[0] = batchRecordVersion + 1
+	tests := []struct {
+		name string
+		rec  []byte
+	}{
+		{"wrong-version", wrongVersion},
+		{"unknown-kind", onePointRecord(7, 0)},
+		{"huge-dimension", onePointRecord(pointKindVector, 1_000_000, make([]byte, 8)...)},
+		{"token-past-bytes", onePointRecord(pointKindTokens, 1, 100, 0, 0, 0, 'a', 'b')},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			pts, err := decodeBatchRecord(tt.rec)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("accepted %d points from a malformed record", len(pts))
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+				t.Fatalf("decoding the %d-byte record allocated %d bytes", len(tt.rec), alloc)
+			}
+		})
 	}
 }

@@ -9,6 +9,17 @@ import (
 	"github.com/densitymountain/edmstream"
 )
 
+// onePointRecord builds a one-point WAL batch record with the given
+// kind and dimension or token count, followed by tail.
+func onePointRecord(kind byte, n uint32, tail ...byte) []byte {
+	rec := []byte{batchRecordVersion}
+	rec = binary.LittleEndian.AppendUint32(rec, 1)
+	rec = append(rec, make([]byte, 24)...) // id, time, label
+	rec = append(rec, kind)
+	rec = binary.LittleEndian.AppendUint32(rec, n)
+	return append(rec, tail...)
+}
+
 // batchRecordSeeds returns one WAL batch record per input class the
 // decoder distinguishes.
 func batchRecordSeeds() [][]byte {
@@ -16,16 +27,6 @@ func batchRecordSeeds() [][]byte {
 		{ID: 1, Vector: []float64{1.5, -2.25}, Label: 3, Time: 0.75},
 		{ID: 2, Tokens: edmstream.NewTokenSet("b", "a"), Label: edmstream.NoLabel, Time: 1},
 	})
-	// A one-point record with the given kind and dimension or token
-	// count, followed by tail.
-	onePoint := func(kind byte, n uint32, tail ...byte) []byte {
-		rec := []byte{batchRecordVersion}
-		rec = binary.LittleEndian.AppendUint32(rec, 1)
-		rec = append(rec, make([]byte, 24)...) // id, time, label
-		rec = append(rec, kind)
-		rec = binary.LittleEndian.AppendUint32(rec, n)
-		return append(rec, tail...)
-	}
 	wrongVersion := append([]byte(nil), valid...)
 	wrongVersion[0] = batchRecordVersion + 1
 	hugeCount := []byte{batchRecordVersion}
@@ -37,10 +38,15 @@ func batchRecordSeeds() [][]byte {
 		valid[:3],            // truncated header
 		valid[:len(valid)-1], // truncated point
 		hugeCount,            // count past the bytes left
-		onePoint(pointKindVector, 1_000_000, make([]byte, 8)...),    // dimension past the bytes left
-		onePoint(pointKindTokens, 0x01000000, 2, 0, 0, 0, 'a', 'b'), // the 40-byte token record
-		onePoint(7, 0),                           // unknown point kind
+		onePointRecord(pointKindVector, 1_000_000, make([]byte, 8)...),    // dimension past the bytes left
+		onePointRecord(pointKindTokens, 0x01000000, 2, 0, 0, 0, 'a', 'b'), // the 40-byte token record
+		onePointRecord(pointKindTokens, 1, 100, 0, 0, 0, 'a', 'b'),        // token length past the bytes left
+		onePointRecord(7, 0),                     // unknown point kind
 		append(append([]byte(nil), valid...), 0), // trailing garbage
+		encodeBatchRecord([]edmstream.Point{ // minimal points, at the count bound
+			{ID: 1, Vector: []float64{}},
+			{ID: 2, Tokens: edmstream.NewTokenSet()},
+		}),
 	}
 }
 
@@ -115,6 +121,7 @@ func FuzzDecodePoints(f *testing.F) {
 		{`[{"vector":[1],"time":-1}]`, 0},      // negative timestamp
 		{`[{"vector":[1]},{"vector":[2]},{"vector":[3]}]`, 2}, // too many points
 		{`[{"vector":[1]}] trailing`, 0},                      // trailing garbage after the array
+		{`[{"vector":[1]}][{"vector":[2]}]`, 0},               // a second array after the first
 		{"{\"vector\":[1]}\n{\"vector\":", 0},                 // truncated NDJSON
 	}
 	for _, s := range seeds {

@@ -290,6 +290,37 @@ func TestIngestRejectsMalformedBodies(t *testing.T) {
 	}
 }
 
+// TestDecodePointsRejectsDataAfterArray: a JSON array body ends at its
+// closing bracket. A second array or stray bytes after it is an error,
+// not dropped while the request is acked as accepted; whitespace is
+// fine.
+func TestDecodePointsRejectsDataAfterArray(t *testing.T) {
+	tests := []struct {
+		name string
+		body string
+		ok   bool
+	}{
+		{"trailing-whitespace", "[{\"vector\":[1]}]\n \t", true},
+		{"second-array", `[{"vector":[1]}][{"vector":[2]}]`, false},
+		{"object-after-array", "[{\"vector\":[1]}]\n{\"vector\":[2]}", false},
+		{"garbage", `[{"vector":[1]}] trailing`, false},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			pts, err := decodePoints(strings.NewReader(tt.body), 0, 0)
+			if !tt.ok {
+				if err == nil {
+					t.Fatalf("accepted %d points from %q", len(pts), tt.body)
+				}
+				return
+			}
+			if err != nil || len(pts) != 1 {
+				t.Fatalf("%q: %d points, err %v; want 1 point", tt.body, len(pts), err)
+			}
+		})
+	}
+}
+
 func TestAssignBeforeSnapshotPublishes(t *testing.T) {
 	_, _, base := startServer(t, testOptions(), Config{})
 	var assign assignResponse

@@ -98,6 +98,12 @@ func decodePoints(r io.Reader, now float64, maxPoints int) ([]edmstream.Point, e
 		if _, err := dec.Token(); err != nil {
 			return nil, err
 		}
+		// Only whitespace may follow the array: a second array or
+		// stray bytes would otherwise be dropped while the ack reports
+		// the request accepted.
+		if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+			return nil, errors.New("unexpected data after the JSON array")
+		}
 		return pts, nil
 	}
 
