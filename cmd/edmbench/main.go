@@ -1,6 +1,7 @@
 // Command edmbench regenerates the tables and figures of the paper's
-// evaluation section. Each experiment ID corresponds to one table or
-// figure (see DESIGN.md for the full index):
+// evaluation section, plus the serving drills. Each experiment ID
+// corresponds to one table, figure or drill (see docs/ARCHITECTURE.md
+// for what each one measures):
 //
 //	edmbench [flags] <experiment>
 //
@@ -18,50 +19,49 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"github.com/densitymountain/edmstream/internal/bench"
 )
 
-// The *JSON variables are the artifact paths the experiments write
-// (set by the -json, -servejson, -e2ejson, ... flags).
-var (
-	throughputJSON string
-	serveJSON      string
-	e2eJSON        string
-	walJSON        string
-	overloadJSON   string
-	drJSON         string
-	tenancyJSON    string
-)
+// jsonDir is the directory the report-writing experiments write their
+// BENCH_*.json artifacts into (the -jsondir flag; empty disables them).
+var jsonDir string
+
+// reportExperiment is an experiment that produces a machine-readable
+// report: run returns the report and its terminal rendering.
+type reportExperiment struct {
+	file string // artifact file name
+	run  func(bench.Scale) (any, string, error)
+}
+
+func report[R any](file string, run func(bench.Scale) (R, error), format func(R) string) reportExperiment {
+	return reportExperiment{file: file, run: func(s bench.Scale) (any, string, error) {
+		rep, err := run(s)
+		if err != nil {
+			return nil, "", err
+		}
+		return rep, format(rep), nil
+	}}
+}
+
+// reports maps each report-writing experiment to its artifact.
+var reports = map[string]reportExperiment{
+	"throughput": report("BENCH_throughput.json", bench.RunThroughput, bench.FormatThroughput),
+	"serve":      report("BENCH_serve.json", bench.RunServe, bench.FormatServe),
+	"e2e":        report("BENCH_e2e.json", bench.RunE2E, bench.FormatE2E),
+	"wal":        report("BENCH_wal.json", bench.RunWAL, bench.FormatWAL),
+	"overload":   report("BENCH_overload.json", bench.RunOverload, bench.FormatOverload),
+	"dr":         report("BENCH_recovery.json", bench.RunDR, bench.FormatDR),
+	"tenants":    report("BENCH_tenancy.json", bench.RunTenants, bench.FormatTenants),
+}
 
 func main() {
-	// The wal kill-and-restart drill and the overload drill re-exec
-	// this binary as their durable serving children; divert before
-	// flag parsing.
-	if os.Getenv("EDMBENCH_WAL_CHILD") == "1" {
-		if err := bench.RunWALChild(); err != nil {
-			fmt.Fprintf(os.Stderr, "edmbench: wal child: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if os.Getenv("EDMBENCH_OVERLOAD_CHILD") == "1" {
-		if err := bench.RunOverloadChild(); err != nil {
-			fmt.Fprintf(os.Stderr, "edmbench: overload child: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if os.Getenv("EDMBENCH_TENANTS_CHILD") == "1" {
-		if err := bench.RunTenantsChild(); err != nil {
-			fmt.Fprintf(os.Stderr, "edmbench: tenants child: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if os.Getenv("EDMBENCH_DR_CHILD") == "1" {
-		if err := bench.RunDRChild(); err != nil {
-			fmt.Fprintf(os.Stderr, "edmbench: dr child: %v\n", err)
+	// The serving drills re-exec this binary as their serving children;
+	// divert before flag parsing.
+	if os.Getenv(bench.ChildEnv) != "" {
+		if err := bench.RunChild(); err != nil {
+			fmt.Fprintf(os.Stderr, "edmbench: drill child: %v\n", err)
 			os.Exit(1)
 		}
 		return
@@ -69,20 +69,8 @@ func main() {
 	points := flag.Int("points", 20000, "stream length per dataset")
 	seed := flag.Int64("seed", 1, "random seed for the synthetic generators")
 	rate := flag.Float64("rate", 1000, "arrival rate in points per second")
-	flag.StringVar(&throughputJSON, "json", "BENCH_throughput.json",
-		"path of the machine-readable artifact the throughput experiment writes (empty disables it)")
-	flag.StringVar(&serveJSON, "servejson", "BENCH_serve.json",
-		"path of the machine-readable artifact the serve experiment writes (empty disables it)")
-	flag.StringVar(&e2eJSON, "e2ejson", "BENCH_e2e.json",
-		"path of the machine-readable artifact the e2e experiment writes (empty disables it)")
-	flag.StringVar(&walJSON, "waljson", "BENCH_wal.json",
-		"path of the machine-readable artifact the wal experiment writes (empty disables it)")
-	flag.StringVar(&overloadJSON, "overloadjson", "BENCH_overload.json",
-		"path of the machine-readable artifact the overload drill writes (empty disables it)")
-	flag.StringVar(&drJSON, "drjson", "BENCH_recovery.json",
-		"path of the machine-readable artifact the disaster-recovery drill writes (empty disables it)")
-	flag.StringVar(&tenancyJSON, "tenancyjson", "BENCH_tenancy.json",
-		"path of the machine-readable artifact the tenants drill writes (empty disables it)")
+	flag.StringVar(&jsonDir, "jsondir", ".",
+		"directory the throughput, serve, e2e, wal, overload, dr and tenants experiments write their BENCH_*.json artifacts into (empty disables them)")
 	flag.Usage = usage
 	flag.Parse()
 
@@ -161,6 +149,22 @@ flags:
 }
 
 func run(id string, s bench.Scale) error {
+	if e, ok := reports[id]; ok {
+		rep, text, err := e.run(s)
+		if err != nil {
+			return err
+		}
+		fmt.Print(text)
+		if jsonDir == "" {
+			return nil
+		}
+		path := filepath.Join(jsonDir, e.file)
+		if err := bench.WriteJSON(path, rep); err != nil {
+			return err
+		}
+		fmt.Printf("wrote %s\n", path)
+		return nil
+	}
 	switch id {
 	case "table2":
 		rows, err := bench.RunTable2(s)
@@ -277,90 +281,6 @@ func run(id string, s bench.Scale) error {
 			return err
 		}
 		fmt.Print(bench.FormatIndexBench(results))
-	case "throughput":
-		rep, err := bench.RunThroughput(s)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatThroughput(rep))
-		if throughputJSON != "" {
-			if err := bench.WriteThroughputJSON(throughputJSON, rep); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", throughputJSON)
-		}
-	case "serve":
-		rep, err := bench.RunServe(s)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatServe(rep))
-		if serveJSON != "" {
-			if err := bench.WriteServeJSON(serveJSON, rep); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", serveJSON)
-		}
-	case "e2e":
-		rep, err := bench.RunE2E(s)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatE2E(rep))
-		if e2eJSON != "" {
-			if err := bench.WriteE2EJSON(e2eJSON, rep); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", e2eJSON)
-		}
-	case "wal":
-		rep, err := bench.RunWAL(s)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatWAL(rep))
-		if walJSON != "" {
-			if err := bench.WriteWALJSON(walJSON, rep); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", walJSON)
-		}
-	case "overload":
-		rep, err := bench.RunOverload(s)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatOverload(rep))
-		if overloadJSON != "" {
-			if err := bench.WriteOverloadJSON(overloadJSON, rep); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", overloadJSON)
-		}
-	case "dr":
-		rep, err := bench.RunDR(s)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatDR(rep))
-		if drJSON != "" {
-			if err := bench.WriteDRJSON(drJSON, rep); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", drJSON)
-		}
-	case "tenants":
-		rep, err := bench.RunTenants(s)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatTenants(rep))
-		if tenancyJSON != "" {
-			if err := bench.WriteTenantsJSON(tenancyJSON, rep); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", tenancyJSON)
-		}
 	case "all":
 		ids := []string{"table2", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "ablation", "index", "throughput", "serve", "e2e", "wal", "overload", "dr", "tenants"}
 		for _, sub := range ids {

@@ -1,9 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -56,19 +53,5 @@ func TestRunDRSmoke(t *testing.T) {
 		t.Error("empty formatted report")
 	}
 
-	path := filepath.Join(t.TempDir(), "BENCH_recovery.json")
-	if err := WriteDRJSON(path, rep); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back DRReport
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatalf("artifact not round-trippable: %v", err)
-	}
-	if back.RecoveredPoints != rep.RecoveredPoints || back.Schema != rep.Schema {
-		t.Errorf("artifact round-trip mismatch: %+v", back)
-	}
+	roundTripArtifact(t, rep)
 }

@@ -2,12 +2,9 @@ package bench
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -146,72 +143,47 @@ func (l *e2eLatencies) summarize() []E2EEndpointResult {
 			continue
 		}
 		sort.Float64s(micros)
-		rank := func(q float64) float64 {
-			idx := int(math.Ceil(q*float64(len(micros)))) - 1
-			if idx < 0 {
-				idx = 0
-			}
-			return micros[idx]
-		}
 		out = append(out, E2EEndpointResult{
 			Endpoint:  name,
 			Requests:  int64(len(micros)),
-			P50Micros: rank(0.50),
-			P90Micros: rank(0.90),
-			P99Micros: rank(0.99),
+			P50Micros: nearestRank(micros, 0.50),
+			P90Micros: nearestRank(micros, 0.90),
+			P99Micros: nearestRank(micros, 0.99),
 			MaxMicros: micros[len(micros)-1],
 		})
 	}
 	return out
 }
 
-// e2eStatsBody mirrors the server's /v1/stats JSON (the server type
-// is unexported; the benchmark consumes the wire contract like any
-// other client).
-type e2eStatsBody struct {
-	Engine struct {
-		Points int64 `json:"Points"`
-	} `json:"engine"`
-	Server struct {
-		Coalescer struct {
-			Batches          uint64  `json:"batches"`
-			Points           uint64  `json:"points"`
-			BatchPointsP50   float64 `json:"batch_points_p50"`
-			BatchPointsP90   float64 `json:"batch_points_p90"`
-			BatchPointsP99   float64 `json:"batch_points_p99"`
-			BatchPointsMax   float64 `json:"batch_points_max"`
-			BatchRequestsP50 float64 `json:"batch_requests_p50"`
-			BatchRequestsP99 float64 `json:"batch_requests_p99"`
-			BatchWaitP50Sec  float64 `json:"batch_wait_p50_seconds"`
-			BatchWaitP99Sec  float64 `json:"batch_wait_p99_seconds"`
-		} `json:"coalescer"`
-	} `json:"server"`
+// sinceMicros is the elapsed time since t0 in microseconds.
+func sinceMicros(t0 time.Time) float64 { return float64(time.Since(t0).Nanoseconds()) / 1e3 }
+
+// callOnce issues one request (see roundTrip) with no retry, requires
+// a 200 and decodes the JSON response into out.
+func callOnce(client *http.Client, url string, body []byte, out any) error {
+	status, _, raw, err := roundTrip(client, url, body)
+	if err != nil {
+		return fmt.Errorf("bench: %s: %w", url, err)
+	}
+	if status != http.StatusOK {
+		return fmt.Errorf("bench: %s status %d: %s", url, status, raw)
+	}
+	if err := json.Unmarshal(raw, out); err != nil {
+		return fmt.Errorf("bench: %s response: %w", url, err)
+	}
+	return nil
 }
 
 // RunE2E boots the serving daemon on loopback and measures it under
 // concurrent HTTP load. s.Points is the measured ingest volume
 // (split across the writers); a fixed warm-up precedes measurement.
 func RunE2E(s Scale) (E2EReport, error) {
-	cfg := server.DefaultConfig()
-	cfg.Addr = "127.0.0.1:0"
-
-	c, err := edmstream.New(e2eOptions(s.Rate))
+	srv, err := serveInProcess(s.Rate, server.Config{}, nil)
 	if err != nil {
-		return E2EReport{}, fmt.Errorf("bench: building clusterer: %w", err)
+		return E2EReport{}, err
 	}
-	srv, err := server.New(c, cfg)
-	if err != nil {
-		return E2EReport{}, fmt.Errorf("bench: building server: %w", err)
-	}
-	if err := srv.Start(); err != nil {
-		return E2EReport{}, fmt.Errorf("bench: starting server: %w", err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-	}()
-	base := "http://" + srv.Addr()
+	defer srv.close()
+	base := srv.url
 
 	client := &http.Client{Transport: &http.Transport{
 		MaxIdleConns:        E2EWriters + E2EReaders + 4,
@@ -229,44 +201,16 @@ func RunE2E(s Scale) (E2EReport, error) {
 	}
 	warmupBatches := e2eWarmup / e2eIngestBatch
 
-	post := func(path string, body []byte) (*http.Response, error) {
-		req, err := http.NewRequest("POST", base+path, bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		return client.Do(req)
-	}
-	drainOK := func(resp *http.Response, what string) error {
-		defer resp.Body.Close()
-		var sink json.RawMessage
-		if err := json.NewDecoder(resp.Body).Decode(&sink); err != nil {
-			return fmt.Errorf("bench: %s response: %w", what, err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("bench: %s status %d: %s", what, resp.StatusCode, sink)
-		}
-		return nil
-	}
-
 	// Warm-up through the same network path (single writer, ordered).
 	// The shared shed-retry helper absorbs any 429/503 the server
 	// emits before it settles; transport errors stay fatal.
-	for b := 0; b < warmupBatches; b++ {
-		if _, err := postShedRetry(client, base+"/v1/ingest", bodies[b], 4, 10*time.Millisecond, time.Second, nil); err != nil {
-			return E2EReport{}, fmt.Errorf("bench: warm-up ingest: %w", err)
-		}
+	if err := ingestAll(client, base, bodies[:warmupBatches]); err != nil {
+		return E2EReport{}, fmt.Errorf("bench: warm-up ingest: %w", err)
 	}
 
 	lat := &e2eLatencies{data: map[string][]float64{}}
 	var ingested, queries, hits, eventsPages, eventsSeen atomic.Int64
 	var firstErr atomic.Value // error
-
-	fail := func(err error) {
-		if err != nil {
-			firstErr.CompareAndSwap(nil, err)
-		}
-	}
 
 	// Writers split the measured batches round-robin.
 	writersDone := make(chan struct{})
@@ -281,16 +225,12 @@ func RunE2E(s Scale) (E2EReport, error) {
 			npts := 0
 			for b := w; b < len(measured); b += E2EWriters {
 				t0 := time.Now()
-				resp, err := post("/v1/ingest", measured[b])
-				if err != nil {
-					fail(fmt.Errorf("bench: ingest: %w", err))
+				var ack json.RawMessage
+				if err := callOnce(client, base+"/v1/ingest", measured[b], &ack); err != nil {
+					firstErr.CompareAndSwap(nil, err)
 					return
 				}
-				if err := drainOK(resp, "ingest"); err != nil {
-					fail(err)
-					return
-				}
-				micros = append(micros, float64(time.Since(t0).Nanoseconds())/1e3)
+				micros = append(micros, sinceMicros(t0))
 				npts += e2eIngestBatch
 			}
 			ingested.Add(int64(npts))
@@ -299,153 +239,102 @@ func RunE2E(s Scale) (E2EReport, error) {
 	}
 	go func() { writerWG.Wait(); close(writersDone) }()
 
-	// Readers classify in-distribution probe points until the writers
-	// finish.
-	var readerWG sync.WaitGroup
-	for r := 0; r < E2EReaders; r++ {
-		readerWG.Add(1)
-		go func(r int) {
-			defer readerWG.Done()
-			type assignResp struct {
-				Clusters []int `json:"clusters"`
-			}
+	// Every read-side client loops until the writers finish, timing
+	// each call under its endpoint's name; pause separates calls
+	// outside the timed window.
+	var readWG sync.WaitGroup
+	drive := func(endpoint string, pause time.Duration, call func() error) {
+		readWG.Add(1)
+		go func() {
+			defer readWG.Done()
 			micros := make([]float64, 0, 4096)
-			pos := r * 1997 // decorrelate the readers
 			for {
 				select {
 				case <-writersDone:
-					lat.add("assign", micros)
+					lat.add(endpoint, micros)
 					return
 				default:
 				}
-				probe := make([]map[string]any, e2eAssignBatch)
-				for i := range probe {
-					p := pts[(pos+i*31)%len(pts)]
-					probe[i] = map[string]any{"vector": p.Vector}
-				}
-				pos += e2eAssignBatch * 31
-				body, err := json.Marshal(probe)
-				if err != nil {
-					fail(err)
-					return
-				}
 				t0 := time.Now()
-				resp, err := post("/v1/assign", body)
-				if err != nil {
-					fail(fmt.Errorf("bench: assign: %w", err))
+				if err := call(); err != nil {
+					firstErr.CompareAndSwap(nil, err)
 					return
 				}
-				var out assignResp
-				err = json.NewDecoder(resp.Body).Decode(&out)
-				resp.Body.Close()
-				if err != nil {
-					fail(fmt.Errorf("bench: assign response: %w", err))
-					return
-				}
-				micros = append(micros, float64(time.Since(t0).Nanoseconds())/1e3)
-				queries.Add(int64(len(out.Clusters)))
-				for _, id := range out.Clusters {
-					if id >= 0 {
-						hits.Add(1)
-					}
-				}
+				micros = append(micros, sinceMicros(t0))
+				time.Sleep(pause)
 			}
-		}(r)
+		}()
 	}
 
+	// Readers classify in-distribution probe points.
+	for r := 0; r < E2EReaders; r++ {
+		pos := r * 1997 // decorrelate the readers
+		drive("assign", 0, func() error {
+			probe := make([]map[string]any, e2eAssignBatch)
+			for i := range probe {
+				probe[i] = map[string]any{"vector": pts[(pos+i*31)%len(pts)].Vector}
+			}
+			pos += e2eAssignBatch * 31
+			body, err := json.Marshal(probe)
+			if err != nil {
+				return err
+			}
+			var out struct {
+				Clusters []int `json:"clusters"`
+			}
+			if err := callOnce(client, base+"/v1/assign", body, &out); err != nil {
+				return err
+			}
+			queries.Add(int64(len(out.Clusters)))
+			for _, id := range out.Clusters {
+				if id >= 0 {
+					hits.Add(1)
+				}
+			}
+			return nil
+		})
+	}
 	// One events consumer follows the evolution cursor by long-poll,
 	// and one snapshot poller reads the published clustering: the two
 	// read-side endpoints a dashboard would hit.
-	var pollWG sync.WaitGroup
-	pollWG.Add(1)
-	go func() {
-		defer pollWG.Done()
-		type eventsResp struct {
+	cursor := uint64(0)
+	drive("events", 0, func() error {
+		var out struct {
 			Cursor uint64            `json:"cursor"`
 			Events []json.RawMessage `json:"events"`
 		}
-		micros := make([]float64, 0, 1024)
-		cursor := uint64(0)
-		for {
-			select {
-			case <-writersDone:
-				lat.add("events", micros)
-				return
-			default:
-			}
-			t0 := time.Now()
-			resp, err := client.Get(fmt.Sprintf("%s/v1/events?cursor=%d&wait=100ms", base, cursor))
-			if err != nil {
-				fail(fmt.Errorf("bench: events: %w", err))
-				return
-			}
-			var out eventsResp
-			err = json.NewDecoder(resp.Body).Decode(&out)
-			resp.Body.Close()
-			if err != nil {
-				fail(fmt.Errorf("bench: events response: %w", err))
-				return
-			}
-			micros = append(micros, float64(time.Since(t0).Nanoseconds())/1e3)
-			cursor = out.Cursor
-			eventsPages.Add(1)
-			eventsSeen.Add(int64(len(out.Events)))
+		if err := callOnce(client, fmt.Sprintf("%s/v1/events?cursor=%d&wait=100ms", base, cursor), nil, &out); err != nil {
+			return err
 		}
-	}()
-	pollWG.Add(1)
-	go func() {
-		defer pollWG.Done()
-		micros := make([]float64, 0, 1024)
-		for {
-			select {
-			case <-writersDone:
-				lat.add("snapshot", micros)
-				return
-			default:
-			}
-			t0 := time.Now()
-			resp, err := client.Get(base + "/v1/snapshot")
-			if err != nil {
-				fail(fmt.Errorf("bench: snapshot: %w", err))
-				return
-			}
-			var sink json.RawMessage
-			err = json.NewDecoder(resp.Body).Decode(&sink)
-			resp.Body.Close()
-			if err != nil {
-				fail(fmt.Errorf("bench: snapshot response: %w", err))
-				return
-			}
-			micros = append(micros, float64(time.Since(t0).Nanoseconds())/1e3)
-			time.Sleep(10 * time.Millisecond)
-		}
-	}()
+		cursor = out.Cursor
+		eventsPages.Add(1)
+		eventsSeen.Add(int64(len(out.Events)))
+		return nil
+	})
+	drive("snapshot", 10*time.Millisecond, func() error {
+		var sink json.RawMessage
+		return callOnce(client, base+"/v1/snapshot", nil, &sink)
+	})
 
 	<-writersDone
 	wall := time.Since(begin)
-	readerWG.Wait()
-	pollWG.Wait()
+	readWG.Wait()
 	if err, _ := firstErr.Load().(error); err != nil {
 		return E2EReport{}, err
 	}
 
 	// Server-side accounting: the engine must hold exactly the points
 	// the clients sent — the network path may not drop or duplicate.
-	var stats e2eStatsBody
-	resp, err := client.Get(base + "/v1/stats")
+	stats, err := fetchStats(client, base+"/v1")
 	if err != nil {
-		return E2EReport{}, fmt.Errorf("bench: stats: %w", err)
-	}
-	err = json.NewDecoder(resp.Body).Decode(&stats)
-	resp.Body.Close()
-	if err != nil {
-		return E2EReport{}, fmt.Errorf("bench: stats response: %w", err)
+		return E2EReport{}, err
 	}
 	wantPoints := int64(e2eWarmup) + ingested.Load()
 	if stats.Engine.Points != wantPoints {
 		return E2EReport{}, fmt.Errorf("bench: engine holds %d points, clients sent %d: the network path dropped or duplicated work", stats.Engine.Points, wantPoints)
 	}
 
+	co := stats.Server.Coalescer
 	rep := E2EReport{
 		Schema:             "edmstream-e2e/v1",
 		Points:             s.Points,
@@ -462,16 +351,16 @@ func RunE2E(s Scale) (E2EReport, error) {
 		EventsSeen:         eventsSeen.Load(),
 		Endpoints:          lat.summarize(),
 		Coalescer: E2ECoalescerResult{
-			Batches:            stats.Server.Coalescer.Batches,
-			Points:             stats.Server.Coalescer.Points,
-			BatchPointsP50:     stats.Server.Coalescer.BatchPointsP50,
-			BatchPointsP90:     stats.Server.Coalescer.BatchPointsP90,
-			BatchPointsP99:     stats.Server.Coalescer.BatchPointsP99,
-			BatchPointsMax:     stats.Server.Coalescer.BatchPointsMax,
-			BatchRequestsP50:   stats.Server.Coalescer.BatchRequestsP50,
-			BatchRequestsP99:   stats.Server.Coalescer.BatchRequestsP99,
-			BatchWaitP50Micros: stats.Server.Coalescer.BatchWaitP50Sec * 1e6,
-			BatchWaitP99Micros: stats.Server.Coalescer.BatchWaitP99Sec * 1e6,
+			Batches:            co.Batches,
+			Points:             co.Points,
+			BatchPointsP50:     co.BatchPointsP50,
+			BatchPointsP90:     co.BatchPointsP90,
+			BatchPointsP99:     co.BatchPointsP99,
+			BatchPointsMax:     co.BatchPointsMax,
+			BatchRequestsP50:   co.BatchRequestsP50,
+			BatchRequestsP99:   co.BatchRequestsP99,
+			BatchWaitP50Micros: co.BatchWaitP50Sec * 1e6,
+			BatchWaitP99Micros: co.BatchWaitP99Sec * 1e6,
 		},
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
@@ -527,17 +416,4 @@ func FormatE2E(rep E2EReport) string {
 		rep.Coalescer.BatchRequestsP50, rep.Coalescer.BatchRequestsP99,
 		rep.Coalescer.BatchWaitP50Micros, rep.Coalescer.BatchWaitP99Micros)
 	return b.String()
-}
-
-// WriteE2EJSON writes the machine-readable artifact.
-func WriteE2EJSON(path string, rep E2EReport) error {
-	raw, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return fmt.Errorf("bench: marshaling e2e report: %w", err)
-	}
-	raw = append(raw, '\n')
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		return fmt.Errorf("bench: writing %s: %w", path, err)
-	}
-	return nil
 }

@@ -1,9 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -55,19 +52,5 @@ func TestRunE2ESmoke(t *testing.T) {
 		t.Error("empty formatted report")
 	}
 
-	path := filepath.Join(t.TempDir(), "BENCH_e2e.json")
-	if err := WriteE2EJSON(path, rep); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back E2EReport
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatalf("artifact not round-trippable: %v", err)
-	}
-	if back.IngestPoints != rep.IngestPoints || back.Schema != rep.Schema {
-		t.Errorf("artifact round-trip mismatch: %+v", back)
-	}
+	roundTripArtifact(t, rep)
 }

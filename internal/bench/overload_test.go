@@ -1,10 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 )
@@ -54,21 +51,7 @@ func TestRunOverloadSmoke(t *testing.T) {
 		t.Error("empty formatted report")
 	}
 
-	path := filepath.Join(t.TempDir(), "BENCH_overload.json")
-	if err := WriteOverloadJSON(path, rep); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back OverloadReport
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatalf("artifact not round-trippable: %v", err)
-	}
-	if back.RecoveredPoints != rep.RecoveredPoints || back.Schema != rep.Schema {
-		t.Errorf("artifact round-trip mismatch: %+v", back)
-	}
+	roundTripArtifact(t, rep)
 }
 
 // TestBackoffDelayBounds pins the shared backoff helper's envelope:

@@ -11,14 +11,13 @@ import (
 	"time"
 )
 
-// Shared HTTP retry/backoff for the experiments' clients (the e2e
-// warm-up, the wal drill and the overload drill). The retry contract
-// is deliberately narrow: only clean shed responses — 429/503, where
-// the server definitively committed nothing — are retried, honoring
-// the Retry-After hint when present. Transport errors are returned
-// immediately: a lost response leaves the commit ambiguous, and the
-// drills' exact acked-points accounting cannot tolerate a blind
-// replay that might duplicate a batch.
+// Shared HTTP retry/backoff for the drills' clients. The retry
+// contract is deliberately narrow: only clean shed responses — 429/503,
+// where the server definitively committed nothing — are retried,
+// honoring the Retry-After hint when present. Transport errors are
+// returned immediately: a lost response leaves the commit ambiguous,
+// and the drills' exact acked-points accounting cannot tolerate a
+// blind replay that might duplicate a batch.
 
 // shedReply is a parsed 429/503 rejection: the machine-readable
 // reason and retry hint the server attaches to every shed.
@@ -74,10 +73,15 @@ func backoffDelay(attempt int, base, max time.Duration, rng *rand.Rand) time.Dur
 	return d/2 + time.Duration(rand.Int63n(jitter))
 }
 
-// doPost issues one POST of a pre-rendered JSON body and drains the
-// response, returning status, headers and body.
-func doPost(client *http.Client, url string, body []byte) (int, http.Header, []byte, error) {
-	req, err := http.NewRequest("POST", url, bytes.NewReader(body))
+// roundTrip issues one request — a POST of the pre-rendered JSON body,
+// or a GET when body is nil — and drains the response, returning
+// status, headers and body.
+func roundTrip(client *http.Client, url string, body []byte) (int, http.Header, []byte, error) {
+	method, rd := "GET", io.Reader(nil)
+	if body != nil {
+		method, rd = "POST", bytes.NewReader(body)
+	}
+	req, err := http.NewRequest(method, url, rd)
 	if err != nil {
 		return 0, nil, nil, err
 	}
@@ -94,63 +98,44 @@ func doPost(client *http.Client, url string, body []byte) (int, http.Header, []b
 	return resp.StatusCode, resp.Header, raw, nil
 }
 
-// postShedRetry POSTs until a 200, retrying shed responses with the
-// shared backoff (preferring the server's Retry-After hint when it is
-// under the cap) and failing on anything else. Returns the 200 body.
-func postShedRetry(client *http.Client, url string, body []byte, attempts int, base, max time.Duration, rng *rand.Rand) ([]byte, error) {
+// retryPolicy is a shed-retry budget: attempts in all, with the shared
+// backoff between them.
+type retryPolicy struct {
+	attempts  int
+	base, max time.Duration
+	rng       *rand.Rand
+}
+
+// stdRetry is the policy every drill client uses outside the overload
+// drill's calibration phase.
+var stdRetry = retryPolicy{attempts: 8, base: 10 * time.Millisecond, max: time.Second}
+
+// shedRetry issues the request (see roundTrip) until a 200, retrying
+// shed responses with the policy's backoff — preferring the server's
+// Retry-After hint when it is under the cap — and failing at once on
+// a transport error or any other status. Returns the 200 body.
+func shedRetry(client *http.Client, url string, body []byte, p retryPolicy) ([]byte, error) {
 	var last *shedReply
-	for attempt := 0; attempt < attempts; attempt++ {
+	for attempt := 0; attempt < p.attempts; attempt++ {
 		if attempt > 0 {
-			delay := backoffDelay(attempt, base, max, rng)
-			if last != nil && last.RetryAfterSeconds > 0 {
-				if hint := time.Duration(last.RetryAfterSeconds) * time.Second; hint > delay && hint <= max {
-					delay = hint
-				}
+			delay := backoffDelay(attempt, p.base, p.max, p.rng)
+			if hint := time.Duration(last.RetryAfterSeconds) * time.Second; hint > delay && hint <= p.max {
+				delay = hint
 			}
 			time.Sleep(delay)
 		}
-		status, header, raw, err := doPost(client, url, body)
+		status, header, raw, err := roundTrip(client, url, body)
 		if err != nil {
 			return nil, err
 		}
 		if status == http.StatusOK {
 			return raw, nil
 		}
-		if shed := parseShed(status, header, raw); shed != nil {
-			last = shed
-			continue
+		if last = parseShed(status, header, raw); last == nil {
+			return nil, fmt.Errorf("bench: %s status %d: %s", url, status, raw)
 		}
-		return nil, fmt.Errorf("bench: %s status %d: %s", url, status, raw)
 	}
-	return nil, fmt.Errorf("bench: %s still shed after %d attempts (last: %d %s)", url, attempts, last.Status, last.Reason)
-}
-
-// getShedRetry GETs until a 200 with the same shed-only retry rule.
-func getShedRetry(client *http.Client, url string, attempts int, base, max time.Duration, rng *rand.Rand) ([]byte, error) {
-	var last *shedReply
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			time.Sleep(backoffDelay(attempt, base, max, rng))
-		}
-		resp, err := client.Get(url)
-		if err != nil {
-			return nil, err
-		}
-		raw, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return nil, err
-		}
-		if resp.StatusCode == http.StatusOK {
-			return raw, nil
-		}
-		if shed := parseShed(resp.StatusCode, resp.Header, raw); shed != nil {
-			last = shed
-			continue
-		}
-		return nil, fmt.Errorf("bench: %s status %d: %s", url, resp.StatusCode, raw)
-	}
-	return nil, fmt.Errorf("bench: %s still shed after %d attempts (last: %d %s)", url, attempts, last.Status, last.Reason)
+	return nil, fmt.Errorf("bench: %s still shed after %d attempts (last: %d %s)", url, p.attempts, last.Status, last.Reason)
 }
 
 // waitUntil polls cond every interval until it reports done, the

@@ -1,11 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -539,18 +537,4 @@ func classifyServeProbes(pts []stream.Point) (cluster, noise []stream.Point) {
 		}
 	}
 	return cluster, noise
-}
-
-// WriteServeJSON writes the report to path as indented JSON (the
-// BENCH_serve.json artifact).
-func WriteServeJSON(path string, rep ServeReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return fmt.Errorf("bench: encoding serve report: %w", err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("bench: writing serve artifact: %w", err)
-	}
-	return nil
 }

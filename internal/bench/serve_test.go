@@ -55,12 +55,3 @@ func TestRunServeSmall(t *testing.T) {
 		t.Errorf("writer made no progress while serving")
 	}
 }
-
-// TestWriteServeJSON checks the artifact writer round-trips.
-func TestWriteServeJSON(t *testing.T) {
-	rep := ServeReport{Schema: "edmstream-serve/v2", Readers: ServeReaders}
-	path := t.TempDir() + "/BENCH_serve.json"
-	if err := WriteServeJSON(path, rep); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"runtime"
 	"time"
 
@@ -231,18 +229,4 @@ func RunThroughput(s Scale) (ThroughputReport, error) {
 		rep.Speedup = batch.PointsPerSec / perPoint.PointsPerSec
 	}
 	return rep, nil
-}
-
-// WriteThroughputJSON writes the report to path as indented JSON (the
-// BENCH_throughput.json artifact).
-func WriteThroughputJSON(path string, rep ThroughputReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return fmt.Errorf("bench: encoding throughput report: %w", err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("bench: writing throughput artifact: %w", err)
-	}
-	return nil
 }

@@ -33,18 +33,6 @@ func TestRunThroughputSmall(t *testing.T) {
 	}
 }
 
-// TestWriteThroughputJSON checks the artifact writer round-trips.
-func TestWriteThroughputJSON(t *testing.T) {
-	rep := ThroughputReport{Schema: "edmstream-throughput/v1", Points: 1,
-		PerPoint: ThroughputModeResult{Mode: "per-point", BatchSize: 1},
-		Batch:    ThroughputModeResult{Mode: "batch", BatchSize: ThroughputBatchSize},
-		Speedup:  1}
-	path := t.TempDir() + "/BENCH_throughput.json"
-	if err := WriteThroughputJSON(path, rep); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // The steady-state ingest benchmarks live at the repository root
 // (BenchmarkInsertBatch in bench_test.go) and drive the public API;
 // this package only hosts the paired experiment (RunThroughput).

@@ -2,22 +2,14 @@ package bench
 
 import (
 	"bytes"
-	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"os"
-	"os/signal"
-	"path/filepath"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
-	"github.com/densitymountain/edmstream"
 	"github.com/densitymountain/edmstream/internal/server"
 	"github.com/densitymountain/edmstream/internal/stream"
 )
@@ -46,10 +38,6 @@ const (
 	// that the kill lands between checkpoints and recovery exercises
 	// both the checkpoint restore and the tail replay.
 	walCheckpointEvery = 1000
-	// walChildEnv marks a process as the kill-and-restart child.
-	// cmd/edmbench and the bench test binary both divert to
-	// RunWALChild when it is set, before any flag parsing.
-	walChildEnv = "EDMBENCH_WAL_CHILD"
 )
 
 // WALThroughputResult is one durability mode's ingest measurement.
@@ -107,57 +95,6 @@ type WALReport struct {
 	Kill          WALKillResult `json:"kill_restart"`
 	GOMAXPROCS    int           `json:"gomaxprocs"`
 	NumCPU        int           `json:"num_cpu"`
-}
-
-// walPost sends one pre-rendered ingest body and requires a 200.
-// Shed responses retry through the shared backoff helper; transport
-// errors stay immediate, which is what lets the kill drill see the
-// SIGKILL as a failed request instead of replaying (and duplicating)
-// an ambiguous batch.
-func walPost(client *http.Client, base string, body []byte) error {
-	_, err := postShedRetry(client, base+"/v1/ingest", body, 4, 10*time.Millisecond, time.Second, nil)
-	return err
-}
-
-// walGet fetches one endpoint's raw body and requires a 200.
-func walGet(client *http.Client, base, path string) ([]byte, error) {
-	return getShedRetry(client, base+path, 4, 10*time.Millisecond, time.Second, nil)
-}
-
-// walStatsBody is the slice of GET /v1/stats the experiment consumes
-// (the wire contract, like any other client).
-type walStatsBody struct {
-	Engine struct {
-		Points int64 `json:"Points"`
-	} `json:"engine"`
-	Server struct {
-		Durability *struct {
-			Records     uint64  `json:"records"`
-			Bytes       uint64  `json:"bytes"`
-			Checkpoints uint64  `json:"checkpoints"`
-			Segments    int64   `json:"segments"`
-			NoSync      bool    `json:"no_sync"`
-			FsyncP50Sec float64 `json:"fsync_p50_seconds"`
-			FsyncP99Sec float64 `json:"fsync_p99_seconds"`
-			Recovery    struct {
-				HasCheckpoint   bool  `json:"has_checkpoint"`
-				RecordsReplayed int   `json:"records_replayed"`
-				DroppedBytes    int64 `json:"dropped_bytes"`
-			} `json:"recovery"`
-		} `json:"durability"`
-	} `json:"server"`
-}
-
-func walStats(client *http.Client, base string) (walStatsBody, error) {
-	raw, err := walGet(client, base, "/v1/stats")
-	if err != nil {
-		return walStatsBody{}, err
-	}
-	var st walStatsBody
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return walStatsBody{}, fmt.Errorf("bench: stats response: %w", err)
-	}
-	return st, nil
 }
 
 // RunWAL measures the durable ingest path and runs the kill-and-
@@ -220,37 +157,22 @@ func runWALThroughput(noSync bool, s Scale, bodies [][]byte, warmupBatches int) 
 	}
 	defer os.RemoveAll(dir)
 
-	c, err := edmstream.New(e2eOptions(s.Rate))
-	if err != nil {
-		return WALThroughputResult{}, fmt.Errorf("bench: building clusterer: %w", err)
-	}
-	srv, err := server.New(c, server.Config{
-		Addr:            "127.0.0.1:0",
+	srv, err := serveInProcess(s.Rate, server.Config{
 		DataDir:         dir,
 		WALNoSync:       noSync,
 		CheckpointEvery: walCheckpointEvery,
-	})
+	}, nil)
 	if err != nil {
-		return WALThroughputResult{}, fmt.Errorf("bench: building %s server: %w", mode, err)
+		return WALThroughputResult{}, fmt.Errorf("bench: %s: %w", mode, err)
 	}
-	if err := srv.Start(); err != nil {
-		return WALThroughputResult{}, fmt.Errorf("bench: starting %s server: %w", mode, err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-	}()
-	base := "http://" + srv.Addr()
+	defer srv.close()
 	client := &http.Client{Transport: &http.Transport{
 		MaxIdleConns:        walWriters + 2,
 		MaxIdleConnsPerHost: walWriters + 2,
 	}}
 
-	for b := 0; b < warmupBatches; b++ {
-		if err := walPost(client, base, bodies[b]); err != nil {
-			return WALThroughputResult{}, fmt.Errorf("bench: %s warm-up: %w", mode, err)
-		}
+	if err := ingestAll(client, srv.url, bodies[:warmupBatches]); err != nil {
+		return WALThroughputResult{}, fmt.Errorf("bench: %s warm-up: %w", mode, err)
 	}
 
 	measured := bodies[warmupBatches:]
@@ -263,7 +185,7 @@ func runWALThroughput(noSync bool, s Scale, bodies [][]byte, warmupBatches int) 
 		go func(w int) {
 			defer wg.Done()
 			for b := w; b < len(measured); b += walWriters {
-				if err := walPost(client, base, measured[b]); err != nil {
+				if _, err := shedRetry(client, srv.url+"/v1/ingest", measured[b], stdRetry); err != nil {
 					firstErr.CompareAndSwap(nil, err)
 					return
 				}
@@ -277,7 +199,7 @@ func runWALThroughput(noSync bool, s Scale, bodies [][]byte, warmupBatches int) 
 		return WALThroughputResult{}, fmt.Errorf("bench: %s ingest: %w", mode, err)
 	}
 
-	st, err := walStats(client, base)
+	st, err := fetchStats(client, srv.url+"/v1")
 	if err != nil {
 		return WALThroughputResult{}, err
 	}
@@ -301,42 +223,23 @@ func runWALThroughput(noSync bool, s Scale, bodies [][]byte, warmupBatches int) 
 	}, nil
 }
 
-// startWALChild re-execs this binary in child mode on the given WAL
-// directory and waits for it to report its bound address. The child
-// writes the addr file only after server.New returns — that is, after
-// recovery — so a returned child has finished recovering.
-func startWALChild(exe, dataDir, addrFile string, rate float64) (*benchChild, error) {
-	return startBenchChild(exe, []string{
-		walChildEnv + "=1",
-		"EDMBENCH_WAL_DIR=" + dataDir,
-		"EDMBENCH_WAL_ADDR_FILE=" + addrFile,
-		fmt.Sprintf("EDMBENCH_WAL_RATE=%g", rate),
-		fmt.Sprintf("EDMBENCH_WAL_CHECKPOINT_EVERY=%d", walCheckpointEvery),
-	}, addrFile)
-}
-
 // runWALKill is the crash drill: SIGKILL a durable child mid-traffic,
 // restart it on the same WAL directory, and verify the recovered
 // state is exactly the acknowledged prefix — byte-identical to a
 // fresh engine fed that prefix directly.
 func runWALKill(s Scale, pts []stream.Point, bodies [][]byte, warmupBatches, liveBatches int) (WALKillResult, error) {
-	exe, err := os.Executable()
-	if err != nil {
-		return WALKillResult{}, fmt.Errorf("bench: locating own executable for the wal child: %w", err)
-	}
-	base, err := os.MkdirTemp("", "edmbench-wal-kill-")
+	spec, cleanup, err := newChildSpec("wal", s.Rate)
 	if err != nil {
 		return WALKillResult{}, err
 	}
-	defer os.RemoveAll(base)
-	dataDir := filepath.Join(base, "data")
-	addrFile := filepath.Join(base, "addr")
+	defer cleanup()
 	client := &http.Client{}
 
-	child, err := startWALChild(exe, dataDir, addrFile, s.Rate)
+	child, err := startChild(spec)
 	if err != nil {
 		return WALKillResult{}, err
 	}
+	defer child.kill()
 
 	// One sequential writer: with requests strictly one at a time the
 	// acknowledged set is always an exact prefix of the stream, which
@@ -351,7 +254,7 @@ func runWALKill(s Scale, pts []stream.Point, bodies [][]byte, warmupBatches, liv
 	go func() {
 		defer close(done)
 		for _, body := range send {
-			if err := walPost(client, "http://"+child.addr, body); err != nil {
+			if _, err := shedRetry(client, child.url+"/v1/ingest", body, stdRetry); err != nil {
 				// The error after the SIGKILL is the crash happening
 				// mid-request — expected. Before it, it is a failure.
 				if !killIssued.Load() {
@@ -369,159 +272,47 @@ func runWALKill(s Scale, pts []stream.Point, bodies [][]byte, warmupBatches, liv
 	case <-done:
 	}
 	killIssued.Store(true)
-	_ = child.cmd.Process.Kill() // SIGKILL: no flush, no goodbye
-	<-child.wait
+	child.kill()
 	<-done
 	if writerErr != nil {
 		return WALKillResult{}, fmt.Errorf("bench: ingest before the kill: %w", writerErr)
 	}
 	ackedPoints := acked.Load() * e2eIngestBatch
 
-	// Restart on the same directory; startWALChild returning means
+	// Restart on the same directory; startChild returning means
 	// recovery completed.
-	child2, err := startWALChild(exe, dataDir, addrFile, s.Rate)
+	child2, err := startChild(spec)
 	if err != nil {
 		return WALKillResult{}, fmt.Errorf("bench: restarting after the kill: %w", err)
 	}
-	defer func() {
-		if child2 != nil {
-			_ = child2.cmd.Process.Kill()
-			<-child2.wait
-		}
-	}()
-	base2 := "http://" + child2.addr
-	st, err := walStats(client, base2)
+	defer child2.kill()
+	st, err := fetchStats(client, child2.url+"/v1")
 	if err != nil {
 		return WALKillResult{}, err
 	}
-	recovered := st.Engine.Points
-	res := WALKillResult{AckedPoints: ackedPoints, RecoveredPoints: recovered}
+	res := WALKillResult{AckedPoints: ackedPoints, RecoveredPoints: st.Engine.Points}
 	if st.Server.Durability != nil {
 		res.ReplayedRecords = st.Server.Durability.Recovery.RecordsReplayed
 		res.HasCheckpoint = st.Server.Durability.Recovery.HasCheckpoint
 	}
 
-	// The contract: every acknowledged point survived; nothing beyond
-	// the sent stream appeared; only whole batches exist.
-	if recovered < ackedPoints {
-		return res, fmt.Errorf("bench: crash recovery lost acknowledged points: %d acked, %d recovered", ackedPoints, recovered)
-	}
-	if max := int64(len(send)) * e2eIngestBatch; recovered > max {
-		return res, fmt.Errorf("bench: crash recovery invented points: %d recovered, only %d ever sent", recovered, max)
-	}
-	if recovered%e2eIngestBatch != 0 {
-		return res, fmt.Errorf("bench: crash recovery kept a partial batch: %d points is not a multiple of %d", recovered, e2eIngestBatch)
-	}
-
-	// Byte-identical equivalence: a fresh engine fed the recovered
-	// prefix directly must publish the same clustering the restarted
-	// server serves.
-	ref, err := edmstream.New(e2eOptions(s.Rate))
-	if err != nil {
-		return res, fmt.Errorf("bench: building reference clusterer: %w", err)
-	}
-	for b := 0; b < int(recovered)/e2eIngestBatch; b++ {
-		if err := ref.InsertBatch(pts[b*e2eIngestBatch : (b+1)*e2eIngestBatch]); err != nil {
-			return res, fmt.Errorf("bench: reference replay: %w", err)
-		}
-	}
-	refSrv, err := server.New(ref, server.Config{Addr: "127.0.0.1:0"})
-	if err != nil {
-		return res, fmt.Errorf("bench: building reference server: %w", err)
-	}
-	if err := refSrv.Start(); err != nil {
-		return res, fmt.Errorf("bench: starting reference server: %w", err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = refSrv.Shutdown(ctx)
-	}()
-	childSnap, err := walGet(client, base2, "/v1/snapshot")
-	if err != nil {
+	// The contract: every acknowledged point survived, nothing beyond
+	// the sent stream appeared, only whole batches exist, and a fresh
+	// engine fed the recovered prefix directly publishes the same
+	// clustering the restarted server serves.
+	sent := int64(len(send)) * e2eIngestBatch
+	if _, err := verifyReplay(client, child2.url+"/v1", pts, s.Rate, ackedPoints, sent); err != nil {
 		return res, err
-	}
-	refSnap, err := walGet(client, "http://"+refSrv.Addr(), "/v1/snapshot")
-	if err != nil {
-		return res, err
-	}
-	if !bytes.Equal(childSnap, refSnap) {
-		return res, fmt.Errorf("bench: recovered clustering diverges from a fresh engine fed the same %d points (%d vs %d snapshot bytes)", recovered, len(childSnap), len(refSnap))
 	}
 	res.SnapshotIdentical = true
 
 	// Liveness: the recovered server keeps serving writes.
-	for _, body := range bodies[len(bodies)-liveBatches:] {
-		if err := walPost(client, base2, body); err != nil {
-			return res, fmt.Errorf("bench: post-restart ingest: %w", err)
-		}
-	}
-	st2, err := walStats(client, base2)
-	if err != nil {
+	if res.PostRestartPoints, err = ingestLive(client, child2.url, bodies[len(bodies)-liveBatches:], res.RecoveredPoints); err != nil {
 		return res, err
-	}
-	res.PostRestartPoints = st2.Engine.Points
-	if want := recovered + int64(liveBatches)*e2eIngestBatch; res.PostRestartPoints != want {
-		return res, fmt.Errorf("bench: post-restart engine holds %d points, want %d", res.PostRestartPoints, want)
 	}
 
 	// Graceful exit this time: SIGTERM must drain and return 0.
-	_ = child2.cmd.Process.Signal(syscall.SIGTERM)
-	if err := <-child2.wait; err != nil {
-		child2 = nil
-		return res, fmt.Errorf("bench: graceful shutdown after recovery: %v", err)
-	}
-	child2 = nil
-	return res, nil
-}
-
-// RunWALChild is the kill-and-restart child: a durable edmserved
-// instance on an ephemeral loopback port, configured through
-// EDMBENCH_WAL_* environment variables. It writes its bound address
-// to the addr file only after server.New returned — after recovery —
-// so the parent's poll on that file doubles as a recovery barrier.
-// Then it waits to be SIGKILLed (the crash) or SIGTERMed (the
-// graceful verification pass).
-func RunWALChild() error {
-	dir := os.Getenv("EDMBENCH_WAL_DIR")
-	addrFile := os.Getenv("EDMBENCH_WAL_ADDR_FILE")
-	if dir == "" || addrFile == "" {
-		return errors.New("bench: EDMBENCH_WAL_DIR and EDMBENCH_WAL_ADDR_FILE are required in child mode")
-	}
-	rate, err := strconv.ParseFloat(os.Getenv("EDMBENCH_WAL_RATE"), 64)
-	if err != nil {
-		return fmt.Errorf("bench: EDMBENCH_WAL_RATE: %w", err)
-	}
-	ckptEvery, err := strconv.Atoi(os.Getenv("EDMBENCH_WAL_CHECKPOINT_EVERY"))
-	if err != nil {
-		return fmt.Errorf("bench: EDMBENCH_WAL_CHECKPOINT_EVERY: %w", err)
-	}
-
-	c, err := edmstream.New(e2eOptions(rate))
-	if err != nil {
-		return err
-	}
-	srv, err := server.New(c, server.Config{
-		Addr:            "127.0.0.1:0",
-		DataDir:         dir,
-		CheckpointEvery: ckptEvery,
-	})
-	if err != nil {
-		return err
-	}
-	if err := srv.Start(); err != nil {
-		return err
-	}
-	if err := publishAddr(addrFile, srv.Addr()); err != nil {
-		return err
-	}
-
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, syscall.SIGTERM, syscall.SIGINT)
-	<-ch
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	return srv.Shutdown(ctx)
+	return res, child2.drain()
 }
 
 // FormatWAL renders the report for the terminal.
@@ -545,17 +336,4 @@ func FormatWAL(rep WALReport) string {
 	fmt.Fprintf(&b, "  recovered clustering byte-identical to an uninterrupted run: %v\n", k.SnapshotIdentical)
 	fmt.Fprintf(&b, "  post-restart ingest accepted; engine at %d points, graceful drain clean\n", k.PostRestartPoints)
 	return b.String()
-}
-
-// WriteWALJSON writes the machine-readable artifact.
-func WriteWALJSON(path string, rep WALReport) error {
-	raw, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return fmt.Errorf("bench: marshaling wal report: %w", err)
-	}
-	raw = append(raw, '\n')
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		return fmt.Errorf("bench: writing %s: %w", path, err)
-	}
-	return nil
 }

@@ -427,8 +427,11 @@ func (l *Log) scanSegments() error {
 			return fmt.Errorf("wal: reading segment %s: %w", meta.name, err)
 		}
 
+		// Sequence numbers start at 1 (0 is the scan's "no record yet"
+		// sentinel), so a segment naming first seq 0 is not one Append
+		// wrote.
 		headerOK := len(data) >= segHeaderLen && string(data[:8]) == string(segMagic[:]) &&
-			binary.LittleEndian.Uint64(data[8:16]) == meta.firstSeq
+			binary.LittleEndian.Uint64(data[8:16]) == meta.firstSeq && meta.firstSeq != 0
 		if headerOK && expect != 0 && meta.firstSeq != expect {
 			// A sequence gap between segments normally proves the later
 			// one unreachable — unless the checkpoint covers the gap

@@ -478,6 +478,33 @@ func TestMissingMiddleSegment(t *testing.T) {
 	}
 }
 
+// TestSegmentNamedSeqZeroDropped: sequence numbers start at 1, so a
+// segment naming first seq 0 is corruption. Recovery drops it whole
+// instead of silently skipping its record 0 as if a checkpoint covered
+// it and replaying the rest, and appends restart at seq 1.
+func TestSegmentNamedSeqZeroDropped(t *testing.T) {
+	dir := t.TempDir()
+	data := segmentFile(0, 0, "zero", "one")
+	if err := os.WriteFile(filepath.Join(dir, segName(0)), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer l.Close()
+	info := l.Info()
+	if info.DroppedSegments != 1 || info.DroppedBytes != int64(len(data)) || info.RecordsSkipped != 0 {
+		t.Fatalf("recovery info %+v, want the whole segment dropped", info)
+	}
+	if seqs, _ := collect(t, l); len(seqs) != 0 {
+		t.Fatalf("replayed %v from a seq-0 segment", seqs)
+	}
+	if seq, err := l.Append([]byte("next")); err != nil || seq != 1 {
+		t.Fatalf("Append after the drop = %d, %v; want seq 1", seq, err)
+	}
+}
+
 // TestFaultInjectedTornWrite drives the torn-write crash through the
 // FaultFS harness: the append fails mid-write, the log wedges, and a
 // clean reopen of the same directory recovers every record that was
