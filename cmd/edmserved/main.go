@@ -18,7 +18,8 @@
 //	GET  /v1/snapshot          the published clustering (summaries)
 //	GET  /v1/clusters/{id}     one cluster with member cells and seeds
 //	GET  /v1/events            evolution events; ?cursor=N&wait=30s long-polls
-//	GET  /v1/stats             engine counters + coalescer + tenancy telemetry
+//	GET  /v1/stats             engine counters, status header, and this stream's
+//	                           /metrics series as JSON (same names, no stream label)
 //	GET  /v1/streams           every registered stream with state and footprint
 //	DELETE /v1/streams/{name}  checkpoint + evict one stream (revives on touch)
 //	GET  /healthz              liveness (503 while draining; per-stream detail lines)

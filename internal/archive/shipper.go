@@ -198,9 +198,13 @@ func (s *Shipper) note(t shipTask) {
 	if t.through > 0 {
 		maxStore(&s.localThrough, t.through)
 	}
+	// Record the enqueue time before the task becomes visible: the run
+	// loop may finish it and clear the lag age before a later store
+	// here could land, which would leave a stale age on an idle shipper.
+	// With the queue full the age is already set by a pending task.
+	s.oldestNanos.CompareAndSwap(0, t.enqueued.UnixNano())
 	select {
 	case s.queue <- t:
-		s.oldestNanos.CompareAndSwap(0, t.enqueued.UnixNano())
 	default:
 		// The remote is behind and the queue is full: drop the
 		// notification rather than slow the writer; the resync pass

@@ -2,6 +2,7 @@ package archive
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -250,5 +251,34 @@ func TestShipperDeletesSiblingVariant(t *testing.T) {
 	}
 	if _, err := store.Get(segKeyPrefix + segName + gzSuffix); !errors.Is(err, ErrNotExist) {
 		t.Fatalf("stale gz variant survived the ship (err %v)", err)
+	}
+}
+
+// TestShipperLagClearsWhenIdle: once every notified task is done, the
+// reported lag age is zero. A notification whose task the shipper
+// finished before the notifier recorded its enqueue time used to leave
+// that time behind, so LagSeconds grew on an idle shipper. Missing
+// files make each task finish at once, which is when that race hits.
+func TestShipperLagClearsWhenIdle(t *testing.T) {
+	store, err := NewDirStore(t.TempDir())
+	if err != nil {
+		t.Fatalf("NewDirStore: %v", err)
+	}
+	ship, err := NewShipper(ShipperOptions{Dir: t.TempDir(), Store: store, ResyncEvery: time.Hour})
+	if err != nil {
+		t.Fatalf("NewShipper: %v", err)
+	}
+	ship.Start()
+	defer ship.Close(time.Second)
+	for i := 1; i <= 300; i++ {
+		ship.NoteSegmentSealed(fmt.Sprintf("wal-%016x.log", i), uint64(i+1))
+		waitFor(t, "the shipper to go idle", func() bool { return ship.Stats().LagObjects == 0 })
+		deadline := time.Now().Add(time.Second)
+		for ship.Stats().LagSeconds != 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("notification %d: idle shipper reports %.3fs of lag", i, ship.Stats().LagSeconds)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }

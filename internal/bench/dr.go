@@ -6,10 +6,13 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"syscall"
 	"time"
+
+	"github.com/densitymountain/edmstream/internal/wal"
 )
 
 // This file holds the disaster-recovery drill: a durable child
@@ -153,8 +156,7 @@ func RunDR(s Scale) (DRReport, error) {
 		return rep, fmt.Errorf("bench: dr ingest: %w", err)
 	}
 	if _, err := awaitStats(client, url+"/v1", 30*time.Second, "the archive to hold a checkpoint and sealed segments", func(st drillStats) (bool, error) {
-		a := st.Server.Archive
-		return a != nil && a.ShippedCheckpointSeq > 0 && a.ShippedThroughSeq > 0, nil
+		return st.num("edmserved_archive_shipped_checkpoint_seq") > 0 && st.num("edmserved_archive_shipped_through_seq") > 0, nil
 	}); err != nil {
 		return rep, err
 	}
@@ -176,8 +178,7 @@ func RunDR(s Scale) (DRReport, error) {
 	}
 	rep.OutageAckedPoints = int64(outageEnd-outageStart) * e2eIngestBatch
 	if _, err := awaitStats(client, url+"/v1", 30*time.Second, "the server to report archive-lagging", func(st drillStats) (bool, error) {
-		a := st.Server.Archive
-		if a == nil || !a.Lagging || a.Failed == 0 {
+		if st.num("edmserved_archive_lagging") == 0 || st.num("edmserved_archive_failed_uploads") == 0 {
 			return false, nil
 		}
 		raw, err := shedRetry(client, url+"/healthz", nil, stdRetry)
@@ -198,33 +199,34 @@ func RunDR(s Scale) (DRReport, error) {
 		return rep, fmt.Errorf("bench: dr ingest after the outage: %w", err)
 	}
 	preKill, err := awaitStats(client, url+"/v1", 30*time.Second, "the shipper to catch up after the outage", func(st drillStats) (bool, error) {
-		a := st.Server.Archive
-		return a != nil && !a.Lagging && a.LagObjects == 0, nil
+		_, shipping := st.Metrics["edmserved_archive_lagging"]
+		return shipping && st.num("edmserved_archive_lagging") == 0 && st.num("edmserved_archive_lag_objects") == 0, nil
 	})
 	if err != nil {
 		return rep, err
 	}
 	rep.AckedPoints = int64(killAt) * e2eIngestBatch
-	a := preKill.Server.Archive
-	rep.ArchivedThroughSeq = a.ShippedThroughSeq
-	rep.ArchiveFailed = a.Failed
-	rep.ArchiveRetried = a.Retried
-	if a.ReadBytes > 0 {
-		rep.CompressionRatio = float64(a.ShippedBytes) / float64(a.ReadBytes)
+	rep.ArchivedThroughSeq = uint64(preKill.num("edmserved_archive_shipped_through_seq"))
+	rep.ArchiveFailed = uint64(preKill.num("edmserved_archive_failed_uploads"))
+	rep.ArchiveRetried = uint64(preKill.num("edmserved_archive_upload_retries"))
+	shippedBytes, readBytes := preKill.num("edmserved_archive_shipped_bytes"), preKill.num("edmserved_archive_read_bytes")
+	if readBytes > 0 {
+		rep.CompressionRatio = shippedBytes / readBytes
 	}
-	if a.Failed == 0 || a.Retried == 0 {
-		return rep, fmt.Errorf("bench: the flaky remote never exercised the retry path: failed=%d retried=%d", a.Failed, a.Retried)
+	if rep.ArchiveFailed == 0 || rep.ArchiveRetried == 0 {
+		return rep, fmt.Errorf("bench: the flaky remote never exercised the retry path: failed=%d retried=%d", rep.ArchiveFailed, rep.ArchiveRetried)
 	}
-	if a.ShippedBytes >= a.ReadBytes {
-		return rep, fmt.Errorf("bench: compressed shipping did not shrink the stream: shipped %d bytes of %d read", a.ShippedBytes, a.ReadBytes)
-	}
-	if preKill.Server.Durability == nil || !preKill.Server.Durability.CheckpointCompressed {
-		return rep, errors.New("bench: the child does not report compressed checkpoints")
+	if shippedBytes >= readBytes {
+		return rep, fmt.Errorf("bench: compressed shipping did not shrink the stream: shipped %.0f bytes of %.0f read", shippedBytes, readBytes)
 	}
 
 	// The disaster: SIGKILL, then the data directory is destroyed
-	// outright. The remote archive is all that survives.
+	// outright. The remote archive is all that survives. Before it goes,
+	// its checkpoints must be the compressed variant.
 	child.kill()
+	if err := checkCompressedCheckpoints(spec.DataDir); err != nil {
+		return rep, err
+	}
 	if err := os.RemoveAll(spec.DataDir); err != nil {
 		return rep, fmt.Errorf("bench: destroying the data directory: %w", err)
 	}
@@ -243,20 +245,18 @@ func RunDR(s Scale) (DRReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	a2 := st2.Server.Archive
-	if a2 == nil || a2.Restore == nil {
+	restore := st2.Status.Restore
+	if restore == nil {
 		return rep, errors.New("bench: the restored child reports no restore info — RestoreFromArchive did not run")
 	}
-	rep.RestoreCheckpoints = a2.Restore.Checkpoints
-	rep.RestoreSegments = a2.Restore.Segments
-	rep.RestoreBytes = a2.Restore.Bytes
-	rep.RestoreBadObjects = a2.Restore.BadObjects
-	rep.RestoreRetried = a2.Restore.Retried
-	rep.RestoreSeconds = a2.Restore.DurationSeconds
-	if st2.Server.Durability != nil {
-		rep.BudgetCheckpoints = st2.Server.Durability.BudgetCheckpoints
-		rep.ReplayPointsPerSec = st2.Server.Durability.ReplayPointsPerSec
-	}
+	rep.RestoreCheckpoints = restore.Checkpoints
+	rep.RestoreSegments = restore.Segments
+	rep.RestoreBytes = restore.Bytes
+	rep.RestoreBadObjects = restore.BadObjects
+	rep.RestoreRetried = restore.Retried
+	rep.RestoreSeconds = restore.DurationSeconds
+	rep.BudgetCheckpoints = uint64(st2.num("edmserved_wal_budget_checkpoints_total"))
+	rep.ReplayPointsPerSec = int64(st2.num("edmserved_recovery_replay_points_per_sec"))
 
 	if rep.RestoreCheckpoints == 0 || rep.RestoreSegments == 0 {
 		return rep, fmt.Errorf("bench: restore downloaded %d checkpoints and %d segments; the drill needs both paths exercised", rep.RestoreCheckpoints, rep.RestoreSegments)
@@ -303,4 +303,31 @@ func FormatDR(rep DRReport) string {
 	fmt.Fprintf(&b, "restored clustering byte-identical to an uninterrupted run: %v\n", rep.SnapshotIdentical)
 	fmt.Fprintf(&b, "post-restore ingest accepted; engine at %d points, graceful drain clean\n", rep.PostRestartPoints)
 	return b.String()
+}
+
+// checkCompressedCheckpoints requires the data directory to hold at
+// least one checkpoint, every one of them the compressed variant.
+func checkCompressedCheckpoints(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("bench: inspecting the data directory: %w", err)
+	}
+	found := 0
+	for _, e := range entries {
+		if _, ok := wal.ParseCheckpointFileName(e.Name()); !ok {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			return fmt.Errorf("bench: reading checkpoint: %w", err)
+		}
+		if !wal.CheckpointCompressed(data) {
+			return fmt.Errorf("bench: checkpoint %s is not compressed", e.Name())
+		}
+		found++
+	}
+	if found == 0 {
+		return errors.New("bench: the data directory holds no checkpoint")
+	}
+	return nil
 }

@@ -334,7 +334,9 @@ func RunE2E(s Scale) (E2EReport, error) {
 		return E2EReport{}, fmt.Errorf("bench: engine holds %d points, clients sent %d: the network path dropped or duplicated work", stats.Engine.Points, wantPoints)
 	}
 
-	co := stats.Server.Coalescer
+	size := stats.sample("edmserved_coalescer_batch_points")
+	reqs := stats.sample("edmserved_coalescer_batch_requests")
+	wait := stats.sample("edmserved_coalescer_batch_wait_seconds")
 	rep := E2EReport{
 		Schema:             "edmstream-e2e/v1",
 		Points:             s.Points,
@@ -351,16 +353,16 @@ func RunE2E(s Scale) (E2EReport, error) {
 		EventsSeen:         eventsSeen.Load(),
 		Endpoints:          lat.summarize(),
 		Coalescer: E2ECoalescerResult{
-			Batches:            co.Batches,
-			Points:             co.Points,
-			BatchPointsP50:     co.BatchPointsP50,
-			BatchPointsP90:     co.BatchPointsP90,
-			BatchPointsP99:     co.BatchPointsP99,
-			BatchPointsMax:     co.BatchPointsMax,
-			BatchRequestsP50:   co.BatchRequestsP50,
-			BatchRequestsP99:   co.BatchRequestsP99,
-			BatchWaitP50Micros: co.BatchWaitP50Sec * 1e6,
-			BatchWaitP99Micros: co.BatchWaitP99Sec * 1e6,
+			Batches:            uint64(stats.num("edmserved_coalescer_batches_total")),
+			Points:             uint64(stats.num("edmserved_coalescer_points_total")),
+			BatchPointsP50:     size.P50,
+			BatchPointsP90:     size.P90,
+			BatchPointsP99:     size.P99,
+			BatchPointsMax:     size.WindowMax,
+			BatchRequestsP50:   reqs.P50,
+			BatchRequestsP99:   reqs.P99,
+			BatchWaitP50Micros: wait.P50 * 1e6,
+			BatchWaitP99Micros: wait.P99 * 1e6,
 		},
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),

@@ -12,11 +12,13 @@ import (
 	"os/exec"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"syscall"
 	"time"
 
 	"github.com/densitymountain/edmstream"
 	"github.com/densitymountain/edmstream/internal/archive"
+	"github.com/densitymountain/edmstream/internal/obs"
 	"github.com/densitymountain/edmstream/internal/server"
 	"github.com/densitymountain/edmstream/internal/stream"
 	"github.com/densitymountain/edmstream/internal/wal"
@@ -104,6 +106,7 @@ func childConfig(spec childSpec) (server.Config, func(on bool), error) {
 		// A multi-tenant engine factory under a tight memory budget with
 		// a hot sweep cadence, so eviction churns while traffic runs.
 		cfg.CheckpointEvery = walCheckpointEvery
+		cfg.WriterPool = runtime.GOMAXPROCS(0)
 		cfg.MemoryBudget = tenantBudget()
 		cfg.EvictIdleAfter = tenantEvictIdle
 		cfg.SweepInterval = tenantSweepInterval
@@ -293,61 +296,33 @@ func (s *inProcServer) close() error {
 	return s.srv.Shutdown(ctx)
 }
 
-// drillStats is the union of the GET /v1/stats fields the drills read.
-// The server's type is unexported; the drills consume the wire
-// contract like any other client.
+// drillStats is GET /v1/stats as the drills read it: the engine
+// section, the status header, and the stream's metrics view, looked up
+// by the series names GET /metrics prints (see num and sample). The
+// server's type is unexported; the drills consume the wire contract
+// like any other client.
 type drillStats struct {
 	Engine edmstream.Stats `json:"engine"`
-	Server struct {
-		Degraded  bool `json:"degraded"`
-		Admission struct {
-			DegradedEntered   uint64 `json:"degraded_entered"`
-			DegradedRecovered uint64 `json:"degraded_recovered"`
-		} `json:"admission"`
-		Coalescer struct {
-			Batches          uint64  `json:"batches"`
-			Points           uint64  `json:"points"`
-			BatchPointsP50   float64 `json:"batch_points_p50"`
-			BatchPointsP90   float64 `json:"batch_points_p90"`
-			BatchPointsP99   float64 `json:"batch_points_p99"`
-			BatchPointsMax   float64 `json:"batch_points_max"`
-			BatchRequestsP50 float64 `json:"batch_requests_p50"`
-			BatchRequestsP99 float64 `json:"batch_requests_p99"`
-			BatchWaitP50Sec  float64 `json:"batch_wait_p50_seconds"`
-			BatchWaitP99Sec  float64 `json:"batch_wait_p99_seconds"`
-		} `json:"coalescer"`
-		Durability *struct {
-			Records              uint64  `json:"records"`
-			Bytes                uint64  `json:"bytes"`
-			Checkpoints          uint64  `json:"checkpoints"`
-			NoSync               bool    `json:"no_sync"`
-			FsyncP50Sec          float64 `json:"fsync_p50_seconds"`
-			FsyncP99Sec          float64 `json:"fsync_p99_seconds"`
-			BudgetCheckpoints    uint64  `json:"budget_checkpoints"`
-			ReplayPointsPerSec   int64   `json:"replay_points_per_sec"`
-			CheckpointCompressed bool    `json:"checkpoint_compressed"`
-			Recovery             struct {
-				HasCheckpoint   bool `json:"has_checkpoint"`
-				RecordsReplayed int  `json:"records_replayed"`
-			} `json:"recovery"`
-		} `json:"durability"`
-		Archive *struct {
-			ShippedBytes         uint64               `json:"shipped_bytes"`
-			ReadBytes            uint64               `json:"read_bytes"`
-			Failed               uint64               `json:"failed"`
-			Retried              uint64               `json:"retried"`
-			LagObjects           int64                `json:"lag_objects"`
-			Lagging              bool                 `json:"lagging"`
-			ShippedThroughSeq    uint64               `json:"shipped_through_seq"`
-			ShippedCheckpointSeq uint64               `json:"shipped_checkpoint_seq"`
-			Restore              *archive.RestoreInfo `json:"restore"`
-		} `json:"archive"`
-		Tenancy struct {
-			WriterPool int    `json:"writer_pool"`
-			Evictions  uint64 `json:"evictions"`
-			Revivals   uint64 `json:"revivals"`
-		} `json:"tenancy"`
-	} `json:"server"`
+	Status struct {
+		Degraded bool                 `json:"degraded"`
+		Recovery *wal.RecoveryInfo    `json:"recovery"`
+		Restore  *archive.RestoreInfo `json:"restore"`
+	} `json:"status"`
+	Metrics map[string]json.RawMessage `json:"metrics"`
+}
+
+// num is the value of a counter or gauge series; 0 when absent.
+func (st drillStats) num(name string) float64 {
+	var v float64
+	_ = json.Unmarshal(st.Metrics[name], &v)
+	return v
+}
+
+// sample is the summary of a distribution series; zero when absent.
+func (st drillStats) sample(name string) obs.Stats {
+	var v obs.Stats
+	_ = json.Unmarshal(st.Metrics[name], &v)
+	return v
 }
 
 // fetchStats reads one stream's stats: streamURL is a base URL plus

@@ -195,7 +195,7 @@ func RunOverload(s Scale) (OverloadReport, error) {
 	// and returns when it first did.
 	awaitDegraded := func(want bool, timeout time.Duration) (time.Time, error) {
 		_, err := awaitStats(client, url+"/v1", timeout, fmt.Sprintf("the server to report degraded=%v", want), func(st drillStats) (bool, error) {
-			return st.Server.Degraded == want, nil
+			return st.Status.Degraded == want, nil
 		})
 		return time.Now(), err
 	}
@@ -265,8 +265,8 @@ func RunOverload(s Scale) (OverloadReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	rep.DegradedEntered = st.Server.Admission.DegradedEntered
-	rep.DegradedRecovered = st.Server.Admission.DegradedRecovered
+	rep.DegradedEntered = uint64(st.num("edmserved_degraded_entered_total"))
+	rep.DegradedRecovered = uint64(st.num("edmserved_degraded_recovered_total"))
 
 	// Contract checks on the traffic the drill just produced.
 	if rep.OverloadFactor < 4 {

@@ -196,6 +196,11 @@ func runTenantKill(s Scale, rep *TenancyReport, bodies [][][]byte, pts [][]strea
 		return err
 	}
 	defer cleanup()
+	cfg, _, err := childConfig(spec)
+	if err != nil {
+		return err
+	}
+	rep.WriterPool = cfg.WriterPool
 	client := &http.Client{Transport: &http.Transport{
 		MaxIdleConns:        tenantStreams + 4,
 		MaxIdleConnsPerHost: tenantStreams + 4,
@@ -268,8 +273,7 @@ func runTenantKill(s Scale, rep *TenancyReport, bodies [][][]byte, pts [][]strea
 	if err != nil {
 		return fmt.Errorf("bench: pre-kill stats: %w", err)
 	}
-	rep.EvictionsBeforeKill = st.Server.Tenancy.Evictions
-	rep.WriterPool = st.Server.Tenancy.WriterPool
+	rep.EvictionsBeforeKill = uint64(st.num("edmserved_streams_evicted_total"))
 	killIssued.Store(true)
 	child.kill()
 	<-writersDone
@@ -317,7 +321,7 @@ func runTenantKill(s Scale, rep *TenancyReport, bodies [][][]byte, pts [][]strea
 	if err != nil {
 		return err
 	}
-	rep.RevivalsAfterRestart = st2.Server.Tenancy.Revivals
+	rep.RevivalsAfterRestart = uint64(st2.num("edmserved_streams_revivals"))
 	if rep.RevivalsAfterRestart < uint64(tenantStreams) {
 		return fmt.Errorf("bench: only %d revivals after reading all %d streams", rep.RevivalsAfterRestart, tenantStreams)
 	}

@@ -203,23 +203,20 @@ func runWALThroughput(noSync bool, s Scale, bodies [][]byte, warmupBatches int) 
 	if err != nil {
 		return WALThroughputResult{}, err
 	}
-	d := st.Server.Durability
-	if d == nil {
-		return WALThroughputResult{}, fmt.Errorf("bench: %s server reports no durability section — WAL not wired in", mode)
+	if st.Status.Recovery == nil {
+		return WALThroughputResult{}, fmt.Errorf("bench: %s server reports no WAL recovery — WAL not wired in", mode)
 	}
-	if d.NoSync != noSync {
-		return WALThroughputResult{}, fmt.Errorf("bench: %s server reports no_sync=%v", mode, d.NoSync)
-	}
+	fsync := st.sample("edmserved_wal_fsync_seconds")
 	return WALThroughputResult{
 		Mode:           mode,
 		Points:         npts.Load(),
 		WallSeconds:    wall.Seconds(),
 		PointsPerSec:   float64(npts.Load()) / wall.Seconds(),
-		WALRecords:     d.Records,
-		WALBytes:       d.Bytes,
-		Checkpoints:    d.Checkpoints,
-		FsyncP50Micros: d.FsyncP50Sec * 1e6,
-		FsyncP99Micros: d.FsyncP99Sec * 1e6,
+		WALRecords:     uint64(st.num("edmserved_wal_records_total")),
+		WALBytes:       uint64(st.num("edmserved_wal_bytes_total")),
+		Checkpoints:    uint64(st.num("edmserved_wal_checkpoints_total")),
+		FsyncP50Micros: fsync.P50 * 1e6,
+		FsyncP99Micros: fsync.P99 * 1e6,
 	}, nil
 }
 
@@ -291,9 +288,9 @@ func runWALKill(s Scale, pts []stream.Point, bodies [][]byte, warmupBatches, liv
 		return WALKillResult{}, err
 	}
 	res := WALKillResult{AckedPoints: ackedPoints, RecoveredPoints: st.Engine.Points}
-	if st.Server.Durability != nil {
-		res.ReplayedRecords = st.Server.Durability.Recovery.RecordsReplayed
-		res.HasCheckpoint = st.Server.Durability.Recovery.HasCheckpoint
+	if rec := st.Status.Recovery; rec != nil {
+		res.ReplayedRecords = rec.RecordsReplayable
+		res.HasCheckpoint = rec.HasCheckpoint
 	}
 
 	// The contract: every acknowledged point survived, nothing beyond

@@ -1,7 +1,9 @@
 // Package obs provides the operational telemetry primitives behind
-// the serving daemon's GET /metrics endpoint: lock-free counters,
-// gauges and sliding-window latency/size distributions with quantile
-// summaries, exported in Prometheus text exposition format.
+// the serving daemon's GET /metrics and GET /v1/stats endpoints:
+// lock-free counters, gauges and sliding-window latency/size
+// distributions with quantile summaries, rendered from one sorted walk
+// of the registry in Prometheus text exposition format (WritePrometheus)
+// or as a per-stream JSON map (View).
 //
 // It is deliberately distinct from internal/metrics, which implements
 // the paper-evaluation quality metrics (CMM, purity); obs measures the
@@ -22,6 +24,7 @@ package obs
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -136,16 +139,19 @@ func (s *Sample) Observe(v float64) {
 	s.totalSum.add(v)
 }
 
-// Stats is a point-in-time summary of a Sample.
+// Stats is a point-in-time summary of a Sample. The JSON tags are the
+// Sample's shape in Registry.View.
 type Stats struct {
 	// Count and Sum are cumulative over the Sample's lifetime.
-	Count uint64
-	Sum   float64
+	Count uint64  `json:"count"`
+	Sum   float64 `json:"sum"`
 	// WindowCount, WindowMax and the quantiles describe the sliding
 	// window (the last ~60 s of observations).
-	WindowCount   uint64
-	WindowMax     float64
-	P50, P90, P99 float64
+	WindowCount uint64  `json:"window_count"`
+	WindowMax   float64 `json:"window_max"`
+	P50         float64 `json:"p50"`
+	P90         float64 `json:"p90"`
+	P99         float64 `json:"p99"`
 }
 
 // Stats merges the live slots of the window into a summary. The
@@ -157,7 +163,7 @@ func (s *Sample) Stats() Stats {
 }
 
 // statsInto is Stats with a caller-provided scratch buffer (the
-// Prometheus writer reuses one across metrics).
+// renderers reuse one across metrics).
 func (s *Sample) statsInto(buf []float64) Stats {
 	st := Stats{Count: s.totalCount.Load(), Sum: s.totalSum.load()}
 	nowEpoch := s.now() / slotNanos
@@ -187,7 +193,7 @@ func (s *Sample) statsInto(buf []float64) Stats {
 	if len(buf) == 0 {
 		return st
 	}
-	insertionSort(buf)
+	slices.Sort(buf)
 	st.P50 = quantile(buf, 0.50)
 	st.P90 = quantile(buf, 0.90)
 	st.P99 = quantile(buf, 0.99)
@@ -204,21 +210,6 @@ func quantile(sorted []float64, q float64) float64 {
 		idx = len(sorted) - 1
 	}
 	return sorted[idx]
-}
-
-// insertionSort sorts in place. The slices are at most a few thousand
-// elements and often nearly sorted run-to-run; avoiding sort.Float64s
-// keeps the read path free of interface allocations.
-func insertionSort(a []float64) {
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = v
-	}
 }
 
 // Timing is a Sample observing durations, stored as float seconds

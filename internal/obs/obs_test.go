@@ -185,6 +185,38 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
+// TestView: the per-value view keeps unlabeled series, series with
+// other labels and the selected value's series (label removed), drops
+// other values' series, and maps a Sample to its Stats.
+func TestView(t *testing.T) {
+	r, _ := newTestRegistry()
+	r.Counter("batches_total", `stream="a"`).Add(3)
+	r.Counter("batches_total", `stream="b"`).Add(5)
+	r.Counter("shed_total", `reason="est_wait"`).Add(2)
+	r.Gauge("streams_active", "").Set(4)
+	r.Gauge("lag", `stream="a",kind="records"`).Set(7)
+	r.Timing("flush_seconds", `stream="a"`).Observe(10 * time.Millisecond)
+	r.Timing("flush_seconds", `stream="b"`).Observe(time.Second)
+
+	v := r.View("stream", "a")
+	want := map[string]any{
+		"batches_total":                 uint64(3),
+		`shed_total{reason="est_wait"}`: uint64(2),
+		"streams_active":                int64(4),
+		`lag{kind="records"}`:           int64(7),
+		"flush_seconds": Stats{Count: 1, Sum: 0.01, WindowCount: 1, WindowMax: 0.01,
+			P50: 0.01, P90: 0.01, P99: 0.01},
+	}
+	if len(v) != len(want) {
+		t.Fatalf("view has %d series, want %d: %v", len(v), len(want), v)
+	}
+	for k, w := range want {
+		if v[k] != w {
+			t.Errorf("view[%q] = %v, want %v", k, v[k], w)
+		}
+	}
+}
+
 // TestConcurrentObserve exercises the lock-free paths under the race
 // detector: concurrent writers on a shared Sample and Counter with a
 // concurrent reader rendering the registry.

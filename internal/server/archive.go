@@ -6,8 +6,8 @@ import (
 )
 
 // archiveMetrics mirrors the shipper's atomic counters into the obs
-// registry. Everything is a Gauge refreshed with Set from whoever reads
-// it (/metrics, /v1/stats): the shipper owns the real counters, and
+// registry. Everything is a Gauge refreshed with Set by Server.collect
+// before each render: the shipper owns the real counters, and
 // concurrent delta-Adds from multiple scrape goroutines would
 // double-count.
 type archiveMetrics struct {
@@ -23,6 +23,7 @@ type archiveMetrics struct {
 	lagRecords    *obs.Gauge
 	lagSecondsK   *obs.Gauge
 	lagging       *obs.Gauge
+	localSeq      *obs.Gauge
 	shippedSeq    *obs.Gauge
 	shippedCkpSeq *obs.Gauge
 }
@@ -41,6 +42,7 @@ func newArchiveMetrics(reg *obs.Registry, labels string) *archiveMetrics {
 		lagRecords:    reg.Gauge("edmserved_archive_lag_records", labels),
 		lagSecondsK:   reg.Gauge("edmserved_archive_lag_seconds_x1000", labels),
 		lagging:       reg.Gauge("edmserved_archive_lagging", labels),
+		localSeq:      reg.Gauge("edmserved_archive_local_through_seq", labels),
 		shippedSeq:    reg.Gauge("edmserved_archive_shipped_through_seq", labels),
 		shippedCkpSeq: reg.Gauge("edmserved_archive_shipped_checkpoint_seq", labels),
 	}
@@ -65,32 +67,7 @@ func (m *archiveMetrics) refresh(st archive.ShipperStats) {
 	} else {
 		m.lagging.Set(0)
 	}
+	m.localSeq.Set(int64(st.LocalThroughSeq))
 	m.shippedSeq.Set(int64(st.ShippedThroughSeq))
 	m.shippedCkpSeq.Set(int64(st.ShippedCheckpointSeq))
-}
-
-// archiveStats is the archive section of GET /v1/stats, present only
-// when an archive is configured.
-type archiveStats struct {
-	Shipped              uint64  `json:"shipped"`
-	ShippedBytes         uint64  `json:"shipped_bytes"`
-	ReadBytes            uint64  `json:"read_bytes"`
-	Failed               uint64  `json:"failed"`
-	Retried              uint64  `json:"retried"`
-	Dropped              uint64  `json:"dropped"`
-	Skipped              uint64  `json:"skipped"`
-	Pruned               uint64  `json:"pruned"`
-	LagObjects           int64   `json:"lag_objects"`
-	LagRecords           int64   `json:"lag_records"`
-	LagSeconds           float64 `json:"lag_seconds"`
-	Lagging              bool    `json:"lagging"`
-	LocalThroughSeq      uint64  `json:"local_through_seq"`
-	ShippedThroughSeq    uint64  `json:"shipped_through_seq"`
-	ShippedCheckpointSeq uint64  `json:"shipped_checkpoint_seq"`
-
-	// Restore reports the disaster restore that built this data
-	// directory, when RestoreFromArchive ran one; RestoreSkipped means
-	// the flag was set but local WAL state made the restore a no-op.
-	Restore        *archive.RestoreInfo `json:"restore,omitempty"`
-	RestoreSkipped bool                 `json:"restore_skipped,omitempty"`
 }

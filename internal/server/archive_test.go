@@ -48,16 +48,13 @@ func getBody(t *testing.T, url string) string {
 	return string(raw)
 }
 
-func archiveBlock(t *testing.T, base string) *archiveStats {
+func defaultStats(t *testing.T, base string) statsBody {
 	t.Helper()
-	var st statsResponse
+	var st statsBody
 	if err := json.Unmarshal([]byte(getBody(t, base+"/v1/stats")), &st); err != nil {
 		t.Fatalf("decoding stats: %v", err)
 	}
-	if st.Server.Archive == nil {
-		t.Fatal("stats carry no archive block despite a configured archive")
-	}
-	return st.Server.Archive
+	return st
 }
 
 func waitCond(t *testing.T, what string, cond func() bool) {
@@ -99,8 +96,8 @@ func TestArchiveOutageNeverFailsIngest(t *testing.T) {
 	ingestN(t, base, 250, 0)
 
 	waitCond(t, "archive lag to surface", func() bool {
-		st := archiveBlock(t, base)
-		return st.Failed > 0 && st.Lagging
+		st := defaultStats(t, base)
+		return metricNum(t, st, "edmserved_archive_failed_uploads") > 0 && metricNum(t, st, "edmserved_archive_lagging") == 1
 	})
 	if body := getBody(t, base+"/healthz"); !strings.HasPrefix(body, "ok\n") || !strings.Contains(body, "archive-lagging") {
 		t.Fatalf("healthz during outage = %q, want ok + archive-lagging detail", body)
@@ -108,8 +105,9 @@ func TestArchiveOutageNeverFailsIngest(t *testing.T) {
 
 	store.SetOutage(false)
 	waitCond(t, "shipper to catch up after heal", func() bool {
-		st := archiveBlock(t, base)
-		return !st.Lagging && st.LagRecords == 0 && st.Shipped > 0
+		st := defaultStats(t, base)
+		return metricNum(t, st, "edmserved_archive_lagging") == 0 && metricNum(t, st, "edmserved_archive_lag_records") == 0 &&
+			metricNum(t, st, "edmserved_archive_shipped_objects") > 0
 	})
 	if body := getBody(t, base+"/healthz"); strings.Contains(body, "archive-lagging") {
 		t.Fatalf("healthz still lagging after catch-up: %q", body)
@@ -159,7 +157,7 @@ func TestRestoreFromArchiveRoundTrip(t *testing.T) {
 	if snap1 != snap2 {
 		t.Fatalf("restored snapshot differs from the acknowledged one:\n%s\nvs\n%s", snap1, snap2)
 	}
-	st := archiveBlock(t, base2)
+	st := defaultStats(t, base2).Status
 	if st.Restore == nil || st.Restore.Checkpoints == 0 {
 		t.Fatalf("stats carry no restore info: %+v", st)
 	}
@@ -193,7 +191,7 @@ func TestRestoreFromArchiveDefersToLocalState(t *testing.T) {
 
 	cfg.RestoreFromArchive = true // same dir, now with local state
 	s2, _, base2 := startServer(t, testOptions(), cfg)
-	st := archiveBlock(t, base2)
+	st := defaultStats(t, base2).Status
 	if !st.RestoreSkipped || st.Restore != nil {
 		t.Fatalf("restore should have deferred to local state: %+v", st)
 	}

@@ -49,8 +49,8 @@ type durability struct {
 	ckptErrors    *obs.Counter
 	probeFailures *obs.Counter
 	segments      *obs.Gauge
-	retries       *obs.Gauge // mirrors the resilient log's retry count
-	reopens       *obs.Gauge // mirrors the resilient log's reopen count
+	retries       *obs.Gauge // mirrors the resilient log's retry count (collect)
+	reopens       *obs.Gauge // mirrors the resilient log's reopen count (collect)
 	budgetCkpts   *obs.Counter
 	estReplayMs   *obs.Gauge // estimated replay time of the current tail
 	replayRateG   *obs.Gauge // points/second the estimate divides by
@@ -155,14 +155,12 @@ func (d *durability) appendBatch(pts []edmstream.Point) error {
 	payload := encodeBatchRecord(pts)
 	begin := time.Now()
 	if _, err := d.log.AppendSync(payload); err != nil {
-		d.syncRetryGauges()
 		return err
 	}
 	d.fsync.Observe(time.Since(begin))
 	d.records.Inc()
 	d.bytesTotal.Add(uint64(len(payload)))
 	d.syncSegmentGauge()
-	d.syncRetryGauges()
 	return nil
 }
 
@@ -174,10 +172,8 @@ func (d *durability) appendBatch(pts []edmstream.Point) error {
 func (d *durability) probe(c *edmstream.Clusterer) bool {
 	if err := d.log.Reopen(); err != nil {
 		d.probeFailures.Inc()
-		d.syncRetryGauges()
 		return false
 	}
-	d.syncRetryGauges()
 	if !d.checkpoint(c) {
 		d.probeFailures.Inc()
 		return false
@@ -276,8 +272,8 @@ func (d *durability) syncSegmentGauge() {
 }
 
 // syncRetryGauges mirrors the resilient log's retry/reopen counters
-// into the registry. Set, not delta-Add: /metrics refreshes these from
-// request goroutines too, and concurrent deltas would double-count.
+// into the registry; Server.collect calls it before each render. The
+// counters are atomics, so any goroutine may.
 func (d *durability) syncRetryGauges() {
 	d.retries.Set(int64(d.log.Retries()))
 	d.reopens.Set(int64(d.log.Reopens()))

@@ -184,8 +184,9 @@ func TestServerCrashRecoveryEquivalence(t *testing.T) {
 	}
 }
 
-// TestStatsReportsDurability: /v1/stats carries the WAL section when
-// (and only when) the server runs with a data dir.
+// TestStatsReportsDurability: /v1/stats carries the WAL series and the
+// recovery outcome when (and only when) the server runs with a data
+// dir.
 func TestStatsReportsDurability(t *testing.T) {
 	_, _, base := startServer(t, testOptions(), Config{DataDir: t.TempDir()})
 	var ack ingestResponse
@@ -193,24 +194,29 @@ func TestStatsReportsDurability(t *testing.T) {
 	if ack.Accepted != 50 {
 		t.Fatalf("setup ingest: %+v", ack)
 	}
-	var stats statsResponse
+	var stats statsBody
 	getJSON(t, base+"/v1/stats", &stats)
-	d := stats.Server.Durability
-	if d == nil {
-		t.Fatal("durable server reports no durability stats")
+	for _, key := range []string{"edmserved_wal_records_total", "edmserved_wal_bytes_total", "edmserved_wal_segments"} {
+		if metricNum(t, stats, key) == 0 {
+			t.Fatalf("%s is 0 after 50 acknowledged points", key)
+		}
 	}
-	if d.Records == 0 || d.Bytes == 0 || d.Segments == 0 {
-		t.Fatalf("durability stats look idle after 50 acknowledged points: %+v", d)
+	rec := stats.Status.Recovery
+	if rec == nil {
+		t.Fatal("durable server reports no recovery outcome")
 	}
-	if d.Recovery.HasCheckpoint || d.Recovery.RecordsReplayed != 0 {
-		t.Fatalf("fresh dir should recover nothing: %+v", d.Recovery)
+	if rec.HasCheckpoint || rec.RecordsReplayable != 0 {
+		t.Fatalf("fresh dir should recover nothing: %+v", rec)
 	}
 
 	_, _, base2 := startServer(t, testOptions(), Config{})
-	var stats2 statsResponse
+	var stats2 statsBody
 	getJSON(t, base2+"/v1/stats", &stats2)
-	if stats2.Server.Durability != nil {
-		t.Fatal("in-memory server reports durability stats")
+	if stats2.Status.Recovery != nil {
+		t.Fatal("in-memory server reports a recovery outcome")
+	}
+	if _, ok := stats2.Metrics["edmserved_wal_records_total"]; ok {
+		t.Fatal("in-memory server reports WAL series")
 	}
 }
 

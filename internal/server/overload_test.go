@@ -105,10 +105,10 @@ func TestDegradedModeEntersAndRecovers(t *testing.T) {
 	if hresp.StatusCode != http.StatusOK || !bytes.Contains(hbody[:n], []byte("degraded")) {
 		t.Errorf("healthz while degraded: status %d body %q, want 200 \"degraded\"", hresp.StatusCode, hbody[:n])
 	}
-	var stats statsResponse
+	var stats statsBody
 	getJSON(t, base+"/v1/stats", &stats)
-	if !stats.Server.Degraded || stats.Server.DegradedReason == "" {
-		t.Errorf("stats while degraded: degraded=%v reason=%q", stats.Server.Degraded, stats.Server.DegradedReason)
+	if !stats.Status.Degraded || stats.Status.DegradedReason == "" {
+		t.Errorf("stats while degraded: degraded=%v reason=%q", stats.Status.Degraded, stats.Status.DegradedReason)
 	}
 
 	// Heal the disk; the probe must recover the server automatically.
@@ -124,15 +124,17 @@ func TestDegradedModeEntersAndRecovers(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	stats = statsBody{}
 	getJSON(t, base+"/v1/stats", &stats)
-	if stats.Server.Degraded {
+	if stats.Status.Degraded {
 		t.Error("stats still degraded after recovery")
 	}
-	if stats.Server.Admission.DegradedEntered < 1 || stats.Server.Admission.DegradedRecovered < 1 {
-		t.Errorf("degraded transitions not counted: entered=%d recovered=%d",
-			stats.Server.Admission.DegradedEntered, stats.Server.Admission.DegradedRecovered)
+	entered := metricNum(t, stats, "edmserved_degraded_entered_total")
+	recovered := metricNum(t, stats, "edmserved_degraded_recovered_total")
+	if entered < 1 || recovered < 1 {
+		t.Errorf("degraded transitions not counted: entered=%v recovered=%v", entered, recovered)
 	}
-	if s.deg.isDegraded() {
+	if s.def.deg.isDegraded() {
 		t.Error("degraded flag still set after recovery")
 	}
 }
@@ -244,7 +246,7 @@ func TestOverloadAckInvariantExact(t *testing.T) {
 	// must flip to degraded.
 	ffs.Inject(wal.Fault{Op: "sync", Sticky: true})
 	deadline = time.Now().Add(5 * time.Second)
-	for !s.deg.isDegraded() {
+	for !s.def.deg.isDegraded() {
 		if time.Now().After(deadline) {
 			t.Fatal("server did not enter degraded mode under a dead disk")
 		}
@@ -254,7 +256,7 @@ func TestOverloadAckInvariantExact(t *testing.T) {
 	// Phase 4: the disk heals — the probe must recover the server.
 	ffs.Clear()
 	deadline = time.Now().Add(5 * time.Second)
-	for s.deg.isDegraded() {
+	for s.def.deg.isDegraded() {
 		if time.Now().After(deadline) {
 			t.Fatal("server did not recover after the fault cleared")
 		}
@@ -296,7 +298,7 @@ func TestOverloadAckInvariantExact(t *testing.T) {
 		t.Fatal("test proved nothing: no request saw a 503")
 	}
 	t.Logf("acked %d points exactly (%d x 429, %d x 503, %d acks post-recovery, %d client cancels)",
-		want, shed429.Load(), shed503.Load(), postRecovery.Load(), s.coal.clientCancels.Value())
+		want, shed429.Load(), shed503.Load(), postRecovery.Load(), s.def.coal.clientCancels.Value())
 }
 
 // TestReadGuardSheds: with every read slot taken, a data-plane read is
@@ -371,7 +373,7 @@ func TestClientCancelCounter(t *testing.T) {
 
 	// Wait until the queue is occupied so the next request must park.
 	deadline := time.Now().Add(2 * time.Second)
-	for s.coal.pending.Value() == 0 {
+	for s.def.coal.pending.Value() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("first request never entered the queue")
 		}
@@ -386,7 +388,7 @@ func TestClientCancelCounter(t *testing.T) {
 	if code := <-second; code != http.StatusServiceUnavailable {
 		t.Fatalf("cancelled enqueue status %d, want 503", code)
 	}
-	if got := s.coal.clientCancels.Value(); got != 1 {
+	if got := s.def.coal.clientCancels.Value(); got != 1 {
 		t.Fatalf("client_cancels counter = %d, want 1", got)
 	}
 
@@ -398,12 +400,12 @@ func TestClientCancelCounter(t *testing.T) {
 	}
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
-	var stats statsResponse
+	var stats statsBody
 	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
 		t.Fatalf("decoding stats: %v", err)
 	}
-	if stats.Server.Coalescer.ClientCancels != 1 {
-		t.Fatalf("stats client_cancels = %d, want 1", stats.Server.Coalescer.ClientCancels)
+	if got := metricNum(t, stats, "edmserved_coalescer_client_cancels_total"); got != 1 {
+		t.Fatalf("stats client cancels = %v, want 1", got)
 	}
 	ctxSd, cancelSd := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancelSd()

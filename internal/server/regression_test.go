@@ -75,7 +75,7 @@ func TestMaxBatchEnforced(t *testing.T) {
 	var held <-chan struct{}
 	var release func()
 	s, c, base := startServer(t, testOptions(), Config{MaxBatch: maxBatch}, func(s *Server) {
-		held, release = stallFirstFlush(s.coal)
+		held, release = stallFirstFlush(s.def.coal)
 	})
 	t.Cleanup(release)
 
@@ -117,7 +117,7 @@ func TestMaxBatchEnforced(t *testing.T) {
 		}(r)
 	}
 	<-held
-	waitPending(t, s.coal, requests-1)
+	waitPending(t, s.def.coal, requests-1)
 	release()
 	for r := 0; r < requests; r++ {
 		if err := <-errs; err != nil {
@@ -127,11 +127,11 @@ func TestMaxBatchEnforced(t *testing.T) {
 	if got := c.Stats().Points; got != requests*60 {
 		t.Fatalf("engine points = %d, want %d", got, requests*60)
 	}
-	if max := s.coal.batchSize.Stats().WindowMax; max > maxBatch {
+	if max := s.def.coal.batchSize.Stats().WindowMax; max > maxBatch {
 		t.Errorf("a coalesced batch carried %g points, cap is %d", max, maxBatch)
 	}
 	// Pairs overflow the cap, so every request is its own batch.
-	if got := s.coal.batches.Value(); got != requests {
+	if got := s.def.coal.batches.Value(); got != requests {
 		t.Errorf("coalescer made %d batches for %d requests, want one each", got, requests)
 	}
 }

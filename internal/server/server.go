@@ -52,26 +52,20 @@ type Server struct {
 	streams *tenant.Registry[*stream]
 	store   archive.ObjectStore
 
-	// def is the default stream; the fields below alias its subsystems
-	// for the single-stream API surface (RecoveryInfo) and the tests
-	// that reach into them.
-	def            *stream
-	coal           *coalescer
-	dur            *durability
-	deg            *degradedState
-	ship           *archive.Shipper
-	archiveM       *archiveMetrics
-	restored       *archive.RestoreInfo
-	restoreSkipped bool
+	// def is the default stream, the one RecoveryInfo reports on.
+	def *stream
 
 	// tenantOps maps "METHOD op" to the handler the /v1/{stream}/{op}
 	// dispatcher invokes, pre-wrapped with the same per-endpoint
 	// telemetry (and read guard) the default plane uses.
 	tenantOps map[string]http.HandlerFunc
 
+	// Tenancy mirror gauges, refreshed by collect.
 	streamsActive     *obs.Gauge
 	streamsRegistered *obs.Gauge
 	streamsMemory     *obs.Gauge
+	streamsRevivals   *obs.Gauge
+	writerQueue       *obs.Gauge
 	streamsEvicted    *obs.Counter
 
 	// start anchors the server's stream clock: points arriving
@@ -145,6 +139,8 @@ func New(c *edmstream.Clusterer, cfg Config) (*Server, error) {
 	s.streamsActive = s.reg.Gauge("edmserved_streams_active", "")
 	s.streamsRegistered = s.reg.Gauge("edmserved_streams_registered", "")
 	s.streamsMemory = s.reg.Gauge("edmserved_streams_memory_bytes", "")
+	s.streamsRevivals = s.reg.Gauge("edmserved_streams_revivals", "")
+	s.writerQueue = s.reg.Gauge("edmserved_writer_queue_depth", "")
 	s.streamsEvicted = s.reg.Counter("edmserved_streams_evicted_total", "")
 	s.streams = tenant.NewRegistry(tenant.Config[*stream]{
 		Factory:        s.buildStream,
@@ -177,13 +173,6 @@ func New(c *edmstream.Clusterer, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.def = def
-	s.coal = def.coal
-	s.dur = def.dur
-	s.deg = def.deg
-	s.ship = def.ship
-	s.archiveM = def.archiveM
-	s.restored = def.restored
-	s.restoreSkipped = def.restoreSkipped
 	if err := s.discoverStreams(); err != nil {
 		def.shutdownClose(nil)
 		return nil, err
@@ -366,8 +355,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // startRuntime launches the shared serving machinery: the writer pool
-// and the janitor (eviction sweeps, degraded-mode probe scheduling,
-// tenancy gauges).
+// and the janitor (eviction sweeps, degraded-mode probe scheduling).
 func (s *Server) startRuntime() {
 	s.runtimeStarted.Store(true)
 	s.pool.Start()
@@ -425,9 +413,9 @@ func (s *Server) Err() error {
 // janitor is the shared background loop: it schedules degraded-mode
 // recovery probes onto each sick stream's writer (the probe must run
 // under the stream's single-writer ownership, so it is flagged and the
-// handle woken rather than run here), runs eviction sweeps at the
-// SweepInterval cadence, and refreshes the tenancy gauges. The tick is
-// the finer of the two cadences so neither starves the other.
+// handle woken rather than run here) and runs eviction sweeps at the
+// SweepInterval cadence. The tick is the finer of the two cadences so
+// neither starves the other.
 func (s *Server) janitor() {
 	defer close(s.janitorDone)
 	tick := s.cfg.SweepInterval
@@ -455,14 +443,29 @@ func (s *Server) janitor() {
 			lastSweep = now
 			s.streams.Sweep()
 		}
-		s.refreshTenancyGauges(s.streams.Stats())
 	}
 }
 
-func (s *Server) refreshTenancyGauges(rs tenant.Stats) {
+// collect refreshes the mirror gauges — series whose source of truth
+// lives outside the registry (each shipper's counters, each resilient
+// log's retry counts, the tenancy registry and the writer pool) — so
+// that both renderers, /metrics and /v1/stats, read current values.
+// Set, not delta-Add: concurrent scrapes would double-count deltas.
+func (s *Server) collect() {
+	for _, st := range s.streams.Live() {
+		if st.ship != nil {
+			st.archiveM.refresh(st.ship.Stats())
+		}
+		if st.dur != nil {
+			st.dur.syncRetryGauges()
+		}
+	}
+	rs := s.streams.Stats()
 	s.streamsActive.Set(int64(rs.Live))
 	s.streamsRegistered.Set(int64(rs.Registered))
 	s.streamsMemory.Set(rs.MemoryBytes)
+	s.streamsRevivals.Set(int64(rs.Revivals))
+	s.writerQueue.Set(int64(s.pool.QueueDepth()))
 }
 
 // Shutdown stops the server gracefully: new requests are rejected,
@@ -547,10 +550,10 @@ func (st *stream) shutdownClose(c *edmstream.Clusterer) error {
 // found and recovered at startup. Meaningful only when the server was
 // configured with a DataDir; the zero value otherwise.
 func (s *Server) RecoveryInfo() wal.RecoveryInfo {
-	if s.dur == nil {
+	if s.def.dur == nil {
 		return wal.RecoveryInfo{}
 	}
-	return s.dur.recovery
+	return s.def.dur.recovery
 }
 
 // streamNow returns the server's stream clock: seconds since start.
@@ -779,235 +782,53 @@ func (s *Server) handleEvents(st *stream, w http.ResponseWriter, r *http.Request
 	}
 }
 
-// statsResponse is the GET /v1/stats body: engine counters plus the
-// server's own serving-side numbers, for the addressed stream.
-type statsResponse struct {
-	Engine edmstream.Stats `json:"engine"`
-	Server serverStats     `json:"server"`
+// statsBody is the GET /v1/stats body for the addressed stream: the
+// engine's own counters, a short status header, and the telemetry
+// registry's view of the stream (see obs.Registry.View) under the same
+// series names GET /metrics prints.
+type statsBody struct {
+	Engine  edmstream.Stats `json:"engine"`
+	Status  streamStatus    `json:"status"`
+	Metrics map[string]any  `json:"metrics"`
 }
 
-type serverStats struct {
-	Stream         string           `json:"stream"`
-	UptimeSeconds  float64          `json:"uptime_seconds"`
-	StreamTime     float64          `json:"stream_time"`
-	Tau            float64          `json:"tau"`
-	Draining       bool             `json:"draining"`
-	Degraded       bool             `json:"degraded"`
-	DegradedReason string           `json:"degraded_reason,omitempty"`
-	Coalescer      coalescerStats   `json:"coalescer"`
-	Admission      admissionStats   `json:"admission"`
-	Tenancy        tenancyStats     `json:"tenancy"`
-	Durability     *durabilityStats `json:"durability,omitempty"`
-	Archive        *archiveStats    `json:"archive,omitempty"`
-}
-
-// tenancyStats is the multi-tenant section of GET /v1/stats: the
-// registry's aggregate view plus the writer pool's. Identical on every
-// stream's stats (it is daemon-global).
-type tenancyStats struct {
-	StreamsLive       int     `json:"streams_live"`
-	StreamsRegistered int     `json:"streams_registered"`
-	MaxStreams        int     `json:"max_streams"`
-	WriterPool        int     `json:"writer_pool"`
-	WriterQueueDepth  int     `json:"writer_queue_depth"`
-	MemoryBudget      int64   `json:"memory_budget_bytes"`
-	MemoryEstimate    int64   `json:"memory_estimate_bytes"`
-	Evictions         uint64  `json:"evictions"`
-	Revivals          uint64  `json:"revivals"`
-	EvictIdleAfterSec float64 `json:"evict_idle_after_seconds"`
-}
-
-// admissionStats is the load-shedding section of GET /v1/stats: how
-// many requests were refused, why, and the commit-wait estimate
-// distribution the ingest rule sheds on.
-type admissionStats struct {
-	DeadlineSeconds    float64 `json:"deadline_seconds"`
-	ShedEstimatedWait  uint64  `json:"shed_estimated_wait"`
-	ShedQueueFull      uint64  `json:"shed_queue_full"`
-	ShedDegraded       uint64  `json:"shed_degraded"`
-	ShedReads          uint64  `json:"shed_reads"`
-	EstimatedWaitP50   float64 `json:"estimated_wait_p50_seconds"`
-	EstimatedWaitP99   float64 `json:"estimated_wait_p99_seconds"`
-	DegradedEntered    uint64  `json:"degraded_entered"`
-	DegradedRecovered  uint64  `json:"degraded_recovered"`
-	MaxReadConcurrency int     `json:"max_read_concurrency"`
-}
-
-// durabilityStats is the WAL section of GET /v1/stats, present only
-// when the server runs with a DataDir. Counters come from the obs
-// instruments the writer maintains; the recovery block is frozen at
-// startup.
-type durabilityStats struct {
-	Records          uint64  `json:"records"`
-	Bytes            uint64  `json:"bytes"`
-	Checkpoints      uint64  `json:"checkpoints"`
-	CheckpointErrors uint64  `json:"checkpoint_errors"`
-	AppendRetries    int64   `json:"append_retries"`
-	Reopens          int64   `json:"reopens"`
-	ProbeFailures    uint64  `json:"probe_failures"`
-	Segments         int64   `json:"segments"`
-	NoSync           bool    `json:"no_sync"`
-	FsyncP50Sec      float64 `json:"fsync_p50_seconds"`
-	FsyncP99Sec      float64 `json:"fsync_p99_seconds"`
-
-	// Recovery-time budget: how many checkpoints the budget (rather
-	// than the point-count cadence) forced, the replay rate the
-	// estimate divides by, and the budget itself (0 = disabled).
-	BudgetCheckpoints    uint64  `json:"budget_checkpoints"`
-	ReplayPointsPerSec   int64   `json:"replay_points_per_sec"`
-	RecoveryBudgetSec    float64 `json:"recovery_budget_seconds"`
-	EstimatedReplayMs    int64   `json:"estimated_replay_ms"`
-	CheckpointCompressed bool    `json:"checkpoint_compressed"`
-
-	Recovery recoveryStats `json:"recovery"`
-}
-
-type recoveryStats struct {
-	HasCheckpoint      bool   `json:"has_checkpoint"`
-	CheckpointSeq      uint64 `json:"checkpoint_seq"`
-	CheckpointsSkipped int    `json:"checkpoints_skipped"`
-	RecordsReplayed    int    `json:"records_replayed"`
-	DroppedBytes       int64  `json:"dropped_bytes"`
-	DroppedSegments    int    `json:"dropped_segments"`
-	TruncatedSegment   string `json:"truncated_segment,omitempty"`
-}
-
-type coalescerStats struct {
-	Batches          uint64  `json:"batches"`
-	Points           uint64  `json:"points"`
-	Rejects          uint64  `json:"rejects"`
-	ClientCancels    uint64  `json:"client_cancels"`
-	PendingRequests  int64   `json:"pending_requests"`
-	BatchPointsP50   float64 `json:"batch_points_p50"`
-	BatchPointsP90   float64 `json:"batch_points_p90"`
-	BatchPointsP99   float64 `json:"batch_points_p99"`
-	BatchPointsMax   float64 `json:"batch_points_max"`
-	BatchRequestsP50 float64 `json:"batch_requests_p50"`
-	BatchRequestsP99 float64 `json:"batch_requests_p99"`
-	BatchWaitP50Sec  float64 `json:"batch_wait_p50_seconds"`
-	BatchWaitP99Sec  float64 `json:"batch_wait_p99_seconds"`
-	FlushP50Sec      float64 `json:"flush_p50_seconds"`
-	FlushP99Sec      float64 `json:"flush_p99_seconds"`
+// streamStatus is the state /v1/stats reports beside the metrics:
+// clocks, health, and the startup recovery and restore outcomes.
+type streamStatus struct {
+	Stream         string               `json:"stream"`
+	UptimeSeconds  float64              `json:"uptime_seconds"`
+	StreamTime     float64              `json:"stream_time"`
+	Tau            float64              `json:"tau"`
+	Draining       bool                 `json:"draining"`
+	Degraded       bool                 `json:"degraded"`
+	DegradedReason string               `json:"degraded_reason,omitempty"`
+	Recovery       *wal.RecoveryInfo    `json:"recovery,omitempty"`
+	Restore        *archive.RestoreInfo `json:"restore,omitempty"`
+	RestoreSkipped bool                 `json:"restore_skipped,omitempty"`
 }
 
 func (s *Server) handleStats(st *stream, w http.ResponseWriter, r *http.Request, _ string) {
-	size := st.coal.batchSize.Stats()
-	reqs := st.coal.batchReqs.Stats()
-	wait := st.coal.batchWait.Stats()
-	flush := st.coal.flushSeconds.Stats()
-	estWait := s.adm.estWait.Stats()
-	rs := s.streams.Stats()
-	s.refreshTenancyGauges(rs)
-	resp := statsResponse{
+	s.collect()
+	snap := st.c.LastSnapshot()
+	body := statsBody{
 		Engine: st.c.Stats(),
-		Server: serverStats{
+		Status: streamStatus{
 			Stream:         st.name,
 			UptimeSeconds:  time.Since(s.start).Seconds(),
-			StreamTime:     st.c.LastSnapshot().Time,
-			Tau:            st.c.LastSnapshot().Tau,
+			StreamTime:     snap.Time,
+			Tau:            snap.Tau,
 			Draining:       s.draining.Load(),
 			Degraded:       st.deg.isDegraded(),
 			DegradedReason: degradedReasonIf(st.deg),
-			Coalescer: coalescerStats{
-				Batches:          st.coal.batches.Value(),
-				Points:           st.coal.pointsTotal.Value(),
-				Rejects:          st.coal.rejectsTotal.Value(),
-				ClientCancels:    st.coal.clientCancels.Value(),
-				PendingRequests:  st.coal.pending.Value(),
-				BatchPointsP50:   size.P50,
-				BatchPointsP90:   size.P90,
-				BatchPointsP99:   size.P99,
-				BatchPointsMax:   size.WindowMax,
-				BatchRequestsP50: reqs.P50,
-				BatchRequestsP99: reqs.P99,
-				BatchWaitP50Sec:  wait.P50,
-				BatchWaitP99Sec:  wait.P99,
-				FlushP50Sec:      flush.P50,
-				FlushP99Sec:      flush.P99,
-			},
-			Admission: admissionStats{
-				DeadlineSeconds:    s.cfg.IngestDeadline.Seconds(),
-				ShedEstimatedWait:  s.adm.shedEstimate.Value(),
-				ShedQueueFull:      s.adm.shedTimeout.Value(),
-				ShedDegraded:       s.adm.shedDegraded.Value(),
-				ShedReads:          s.adm.shedReads.Value(),
-				EstimatedWaitP50:   estWait.P50,
-				EstimatedWaitP99:   estWait.P99,
-				DegradedEntered:    st.deg.entered.Value(),
-				DegradedRecovered:  st.deg.recovered.Value(),
-				MaxReadConcurrency: cap(s.adm.readSem),
-			},
-			Tenancy: tenancyStats{
-				StreamsLive:       rs.Live,
-				StreamsRegistered: rs.Registered,
-				MaxStreams:        s.cfg.MaxStreams,
-				WriterPool:        s.pool.Workers(),
-				WriterQueueDepth:  s.pool.QueueDepth(),
-				MemoryBudget:      s.cfg.MemoryBudget,
-				MemoryEstimate:    rs.MemoryBytes,
-				Evictions:         rs.Evictions,
-				Revivals:          rs.Revivals,
-				EvictIdleAfterSec: s.cfg.EvictIdleAfter.Seconds(),
-			},
+			Restore:        st.restored,
+			RestoreSkipped: st.restoreSkipped,
 		},
+		Metrics: s.reg.View("stream", st.name),
 	}
-	if d := st.dur; d != nil {
-		fs := d.fsync.Stats()
-		resp.Server.Durability = &durabilityStats{
-			Records:          d.records.Value(),
-			Bytes:            d.bytesTotal.Value(),
-			Checkpoints:      d.checkpoints.Value(),
-			CheckpointErrors: d.ckptErrors.Value(),
-			// Live from the resilient log's atomics, not the gauges the
-			// writer refreshes: a retry storm shows up here even between
-			// appends.
-			AppendRetries:        int64(d.log.Retries()),
-			Reopens:              int64(d.log.Reopens()),
-			ProbeFailures:        d.probeFailures.Value(),
-			Segments:             d.segments.Value(),
-			NoSync:               s.cfg.WALNoSync,
-			FsyncP50Sec:          fs.P50,
-			FsyncP99Sec:          fs.P99,
-			BudgetCheckpoints:    d.budgetCkpts.Value(),
-			ReplayPointsPerSec:   d.replayRateG.Value(),
-			RecoveryBudgetSec:    s.cfg.RecoveryBudget.Seconds(),
-			EstimatedReplayMs:    d.estReplayMs.Value(),
-			CheckpointCompressed: s.cfg.CheckpointCompress,
-			Recovery: recoveryStats{
-				HasCheckpoint:      d.recovery.HasCheckpoint,
-				CheckpointSeq:      d.recovery.CheckpointSeq,
-				CheckpointsSkipped: d.recovery.CheckpointsSkipped,
-				RecordsReplayed:    d.recovery.RecordsReplayable,
-				DroppedBytes:       d.recovery.DroppedBytes,
-				DroppedSegments:    d.recovery.DroppedSegments,
-				TruncatedSegment:   d.recovery.TruncatedSegment,
-			},
-		}
+	if st.dur != nil {
+		body.Status.Recovery = &st.dur.recovery
 	}
-	if st.ship != nil {
-		stats := st.ship.Stats()
-		st.archiveM.refresh(stats)
-		resp.Server.Archive = &archiveStats{
-			Shipped:              stats.Shipped,
-			ShippedBytes:         stats.ShippedBytes,
-			ReadBytes:            stats.ReadBytes,
-			Failed:               stats.Failed,
-			Retried:              stats.Retried,
-			Dropped:              stats.Dropped,
-			Skipped:              stats.Skipped,
-			Pruned:               stats.Pruned,
-			LagObjects:           stats.LagObjects,
-			LagRecords:           stats.LagRecords,
-			LagSeconds:           stats.LagSeconds,
-			Lagging:              stats.Lagging,
-			LocalThroughSeq:      stats.LocalThroughSeq,
-			ShippedThroughSeq:    stats.ShippedThroughSeq,
-			ShippedCheckpointSeq: stats.ShippedCheckpointSeq,
-			Restore:              st.restored,
-			RestoreSkipped:       st.restoreSkipped,
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, body)
 }
 
 // streamsResponse is the GET /v1/streams body.
@@ -1101,15 +922,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	for _, st := range s.streams.Live() {
-		if st.ship != nil {
-			st.archiveM.refresh(st.ship.Stats())
-		}
-		if st.dur != nil {
-			st.dur.syncRetryGauges()
-		}
-	}
-	s.refreshTenancyGauges(s.streams.Stats())
+	s.collect()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	_ = s.reg.WritePrometheus(w)

@@ -91,6 +91,17 @@ func postJSON(t *testing.T, url string, body any, out any) *http.Response {
 	return resp
 }
 
+// metricNum reads one counter or gauge from a /v1/stats metrics map,
+// failing the test when the series is absent.
+func metricNum(t *testing.T, st statsBody, key string) float64 {
+	t.Helper()
+	v, ok := st.Metrics[key].(float64)
+	if !ok {
+		t.Fatalf("stats carry no numeric series %q: %v", key, st.Metrics)
+	}
+	return v
+}
+
 func getJSON(t *testing.T, url string, out any) *http.Response {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -180,15 +191,15 @@ func TestIngestAssignSnapshotRoundTrip(t *testing.T) {
 	}
 
 	// Stats: engine counters and coalescer telemetry are populated.
-	var stats statsResponse
+	var stats statsBody
 	if resp := getJSON(t, base+"/v1/stats", &stats); resp.StatusCode != http.StatusOK {
 		t.Fatalf("stats status %d", resp.StatusCode)
 	}
 	if stats.Engine.Points != int64(len(pts)) {
 		t.Errorf("engine points = %d, want %d", stats.Engine.Points, len(pts))
 	}
-	if stats.Server.Coalescer.Batches == 0 || stats.Server.Coalescer.Points != uint64(len(pts)) {
-		t.Errorf("coalescer stats wrong: %+v", stats.Server.Coalescer)
+	if b, p := metricNum(t, stats, "edmserved_coalescer_batches_total"), metricNum(t, stats, "edmserved_coalescer_points_total"); b == 0 || p != float64(len(pts)) {
+		t.Errorf("coalescer stats wrong: %v batches, %v points", b, p)
 	}
 
 	// Healthz.
@@ -426,7 +437,7 @@ func TestConcurrentIngestCoalesces(t *testing.T) {
 	var held <-chan struct{}
 	var release func()
 	s, c, base := startServer(t, testOptions(), Config{}, func(s *Server) {
-		held, release = stallFirstFlush(s.coal)
+		held, release = stallFirstFlush(s.def.coal)
 	})
 	t.Cleanup(release)
 
@@ -463,7 +474,7 @@ func TestConcurrentIngestCoalesces(t *testing.T) {
 		}(w)
 	}
 	<-held
-	waitPending(t, s.coal, writers-1)
+	waitPending(t, s.def.coal, writers-1)
 	release()
 	wg.Wait()
 	close(errs)
@@ -475,11 +486,11 @@ func TestConcurrentIngestCoalesces(t *testing.T) {
 	if got := c.Stats().Points; got != int64(total) {
 		t.Fatalf("engine points = %d, want %d", got, total)
 	}
-	reqStats := s.coal.batchReqs.Stats()
+	reqStats := s.def.coal.batchReqs.Stats()
 	if reqStats.WindowMax < writers-1 {
 		t.Errorf("the %d requests queued behind a stalled commit were not group-committed (max %g per batch)", writers-1, reqStats.WindowMax)
 	}
-	if batches := s.coal.batches.Value(); batches >= uint64(writers*perWriter) {
+	if batches := s.def.coal.batches.Value(); batches >= uint64(writers*perWriter) {
 		t.Errorf("coalescer made %d batches for %d requests: nothing coalesced", batches, writers*perWriter)
 	}
 }

@@ -111,16 +111,16 @@ func TestTenantIsolation(t *testing.T) {
 	}
 
 	// Per-tenant stats carry the stream name and that stream's counters.
-	var st statsResponse
+	var st statsBody
 	getJSON(t, base+"/v1/alpha/stats", &st)
-	if st.Server.Stream != "alpha" {
-		t.Errorf("alpha stats says stream %q", st.Server.Stream)
+	if st.Status.Stream != "alpha" {
+		t.Errorf("alpha stats says stream %q", st.Status.Stream)
 	}
-	if st.Server.Coalescer.Points != uint64(len(alpha)) {
-		t.Errorf("alpha coalescer points = %d, want %d", st.Server.Coalescer.Points, len(alpha))
+	if got := metricNum(t, st, "edmserved_coalescer_points_total"); got != float64(len(alpha)) {
+		t.Errorf("alpha coalescer points = %v, want %d", got, len(alpha))
 	}
-	if st.Server.Tenancy.StreamsLive < 3 {
-		t.Errorf("tenancy says %d live streams, want >= 3", st.Server.Tenancy.StreamsLive)
+	if got := metricNum(t, st, "edmserved_streams_active"); got < 3 {
+		t.Errorf("tenancy says %v live streams, want >= 3", got)
 	}
 
 	// Assign against alpha classifies near alpha's blobs, and beta's
@@ -334,11 +334,12 @@ func TestStreamAdminEvictRevive(t *testing.T) {
 	if !bytes.Equal(before, after) {
 		t.Errorf("revived snapshot differs from the evicted one:\n%.300s\nvs\n%.300s", after, before)
 	}
-	var st statsResponse
+	var st statsBody
 	getJSON(t, base+"/v1/tenant-a/stats", &st)
-	if st.Server.Tenancy.Evictions != 1 || st.Server.Tenancy.Revivals != 1 {
-		t.Errorf("tenancy ledger = %d evictions / %d revivals, want 1/1",
-			st.Server.Tenancy.Evictions, st.Server.Tenancy.Revivals)
+	evictions := metricNum(t, st, "edmserved_streams_evicted_total")
+	revivals := metricNum(t, st, "edmserved_streams_revivals")
+	if evictions != 1 || revivals != 1 {
+		t.Errorf("tenancy ledger = %v evictions / %v revivals, want 1/1", evictions, revivals)
 	}
 }
 

@@ -64,8 +64,12 @@ func TestCompressedCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading checkpoint file: %v", err)
 	}
-	if !bytes.Equal(raw[:8], ckptMagicGz[:]) {
+	if !bytes.Equal(raw[:8], ckptMagicGz[:]) || !CheckpointCompressed(raw) {
 		t.Fatalf("checkpoint magic = %q, want %q", raw[:8], ckptMagicGz[:])
+	}
+	plain := append(append([]byte(nil), ckptMagic[:]...), raw[8:]...)
+	if CheckpointCompressed(plain) || CheckpointCompressed(raw[:7]) {
+		t.Fatal("CheckpointCompressed accepts a plain or truncated checkpoint")
 	}
 	if len(raw) >= ckptHeaderLen+len(state) {
 		t.Fatalf("compressed checkpoint is %d bytes, not smaller than the %d-byte payload", len(raw), len(state))

@@ -88,30 +88,31 @@ type Options struct {
 // operator can see exactly what a crash cost.
 type RecoveryInfo struct {
 	// HasCheckpoint reports whether a valid checkpoint was loaded.
-	HasCheckpoint bool
+	HasCheckpoint bool `json:"has_checkpoint"`
 	// CheckpointSeq is the first record sequence number NOT covered by
 	// the loaded checkpoint (meaningful when HasCheckpoint).
-	CheckpointSeq uint64
+	CheckpointSeq uint64 `json:"checkpoint_seq"`
 	// CheckpointsSkipped counts newer checkpoint files that failed
 	// validation and were bypassed (and removed).
-	CheckpointsSkipped int
+	CheckpointsSkipped int `json:"checkpoints_skipped"`
 	// SegmentsScanned counts the log segments examined.
-	SegmentsScanned int
+	SegmentsScanned int `json:"segments_scanned"`
 	// RecordsReplayable counts the valid records past the checkpoint
-	// (the tail Replay will deliver).
-	RecordsReplayable int
+	// (the tail Replay will deliver). It keeps the JSON name
+	// records_replayed that /v1/stats clients already read.
+	RecordsReplayable int `json:"records_replayed"`
 	// RecordsSkipped counts valid records already covered by the
 	// checkpoint.
-	RecordsSkipped int
+	RecordsSkipped int `json:"records_skipped"`
 	// TruncatedSegment names the segment whose torn/corrupt tail was
 	// cut back to the last valid record ("" when the log was clean).
-	TruncatedSegment string
+	TruncatedSegment string `json:"truncated_segment,omitempty"`
 	// DroppedBytes is the total size of invalid data discarded: the
 	// truncated tail plus any unreachable later segments.
-	DroppedBytes int64
+	DroppedBytes int64 `json:"dropped_bytes"`
 	// DroppedSegments counts whole segments discarded because they sat
 	// past a corruption boundary.
-	DroppedSegments int
+	DroppedSegments int `json:"dropped_segments"`
 }
 
 // String renders the recovery outcome in one log line.
@@ -305,6 +306,12 @@ func ParseSegmentFileName(name string) (uint64, bool) {
 	}
 	seq, err := parseSeq(name, segPrefix, segExt)
 	return seq, err == nil
+}
+
+// CheckpointCompressed reports whether a checkpoint file's contents
+// (its header suffices) are the gzip-compressed variant.
+func CheckpointCompressed(data []byte) bool {
+	return len(data) >= len(ckptMagicGz) && string(data[:len(ckptMagicGz)]) == string(ckptMagicGz[:])
 }
 
 // ParseCheckpointFileName reports whether name is a checkpoint file
