@@ -3,6 +3,10 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"math"
 	"testing"
 
@@ -139,6 +143,187 @@ func FuzzDecodePoints(f *testing.F) {
 		for i, p := range pts {
 			if err := p.Validate(); err != nil {
 				t.Fatalf("accepted point %d fails Validate: %v", i, err)
+			}
+		}
+	})
+}
+
+// wirePoint is the encoding/json form of one point object, the oracle
+// parsePoints must agree with.
+type wirePoint struct {
+	ID     *int64    `json:"id,omitempty"`
+	Vector []float64 `json:"vector,omitempty"`
+	Tokens []string  `json:"tokens,omitempty"`
+	Time   *float64  `json:"time,omitempty"`
+	Label  *int      `json:"label,omitempty"`
+}
+
+// decodePointsJSON decodes a request body with encoding/json: a JSON
+// array through the token API, or NDJSON with every object through
+// Decode. It is the reference behaviour for parsePoints.
+func decodePointsJSON(body []byte, now float64, maxPoints int) ([]edmstream.Point, error) {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+
+	var pts []edmstream.Point
+	add := func(w wirePoint) error {
+		if w.Vector != nil && w.Tokens != nil {
+			return fmt.Errorf("point %d: has both vector and tokens", len(pts))
+		}
+		if w.Tokens == nil && len(w.Vector) == 0 {
+			return fmt.Errorf("point %d: vector must have at least one coordinate", len(pts))
+		}
+		p := edmstream.Point{Label: edmstream.NoLabel, Time: now}
+		if w.ID != nil {
+			p.ID = *w.ID
+		}
+		if w.Time != nil {
+			p.Time = *w.Time
+		}
+		if w.Label != nil {
+			p.Label = *w.Label
+		}
+		if w.Tokens != nil {
+			p.Tokens = edmstream.NewTokenSet(w.Tokens...)
+		} else {
+			p.Vector = w.Vector
+		}
+		if err := p.Validate(); err != nil {
+			return fmt.Errorf("point %d: %w", len(pts), err)
+		}
+		if maxPoints > 0 && len(pts) >= maxPoints {
+			return fmt.Errorf("too many points in one request (max %d)", maxPoints)
+		}
+		pts = append(pts, p)
+		return nil
+	}
+
+	start := bytes.TrimLeft(body, " \t\r\n")
+	switch {
+	case len(start) == 0:
+		return nil, errors.New("empty request body")
+	case start[0] == '[':
+		if _, err := dec.Token(); err != nil {
+			return nil, err
+		}
+		for dec.More() {
+			var w wirePoint
+			if err := dec.Decode(&w); err != nil {
+				return nil, fmt.Errorf("point %d: %w", len(pts), err)
+			}
+			if err := add(w); err != nil {
+				return nil, err
+			}
+		}
+		if _, err := dec.Token(); err != nil {
+			return nil, err
+		}
+		if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+			return nil, errors.New("unexpected data after the JSON array")
+		}
+		return pts, nil
+	case start[0] == '{':
+		for {
+			var w wirePoint
+			if err := dec.Decode(&w); errors.Is(err, io.EOF) {
+				return pts, nil
+			} else if err != nil {
+				return nil, fmt.Errorf("point %d: %w", len(pts), err)
+			}
+			if err := add(w); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return nil, fmt.Errorf("request body must be a JSON array of points or NDJSON, got %q", start[0])
+}
+
+// FuzzDecodePointsMatchesJSON: parsePoints and encoding/json accept
+// the same bodies, and for an accepted body yield the same points,
+// floats compared by their bits.
+func FuzzDecodePointsMatchesJSON(f *testing.F) {
+	seeds := []struct {
+		body string
+		max  uint8
+	}{
+		// Keys: case-folded, Unicode-folded (the Kelvin sign folds to
+		// k), escaped, repeated (the last wins, and a repeated array
+		// keeps what the earlier one put under a null element).
+		{`[{"VECTOR":[1],"Time":2,"iD":3,"LABEL":4}]`, 0},
+		{`[{"to\u212aens":["a"]},{"vector":[1],"token\u017f":null}]`, 0},
+		{"[{\"to\u212aens\":[\"a\"]},{\"vector\":[1],\"token\u017f\":null}]", 0},
+		{`{"\u0076ector":[1],"t\u0069me":1}`, 0},
+		{`[{"vector":[1,2,3],"vector":[4],"vector":[null,null,null,null],"id":1,"id":2}]`, 0},
+		{`[{"tokens":["a","b"],"tokens":[null,"c"],"vector":null}]`, 0},
+		{`[{"vector":[1,2],"vector":null,"vector":[null]}]`, 0},
+		{`[{"vector":[1,2],"vector":[],"vector":[null]}]`, 0},
+		// null for every field, and as an array element.
+		{`[{"vector":[1],"id":null,"time":null,"label":null,"tokens":null}]`, 0},
+		{`{"id":null,"time":null,"label":null,"tokens":null,"vector":null}`, 0},
+		{`[null]`, 0},
+		{`[{"vector":[1]},null]`, 0},
+		{"{\"vector\":[1]}\nnull", 0},
+		// Strings in tokens: surrogate pairs, lone surrogates, invalid
+		// UTF-8 (each bad byte becomes U+FFFD), escapes.
+		{`[{"tokens":["\ud83d\ude00","\ud83d","\ude00x","\ud83d\u0041","\uDBFF\uDFFF"]}]`, 0},
+		{"[{\"tokens\":[\"\xff\xfe\",\"a\xc3\",\"\xed\xa0\x80\",\"\\\"\\\\\\/\\b\\f\\n\\r\\t\"]}]", 0},
+		{`[{"tokens":["\x"]}]`, 0},
+		{"[{\"tokens\":[\"a\x01\"]}]", 0},
+		// Numbers.
+		{`[{"vector":[-0,1e308,-1E-400,0.5e+3],"time":-0}]`, 0},
+		{`[{"vector":[1e309]}]`, 0},
+		{`[{"vector":[01]}]`, 0},
+		{`[{"vector":[.5]}]`, 0},
+		{`[{"vector":[1.]}]`, 0},
+		{`[{"vector":[1e]}]`, 0},
+		{`[{"vector":[-]}]`, 0},
+		{`[{"vector":[1],"id":1.0}]`, 0},
+		{`[{"vector":[1],"id":9223372036854775808}]`, 0},
+		{`[{"vector":[1],"id":-9223372036854775808}]`, 0},
+		{`[{"vector":[1],"label":99999999999999999999}]`, 0},
+		{`[{"vector":[1],"label":-1}]`, 0},
+		// NDJSON objects concatenated with no whitespace.
+		{`{"vector":[1]}{"vector":[2],"time":3}{"tokens":["x"]}`, 0},
+		{`{"vector":[1]}{"vector":[2]}{"vector":[3]}`, 2},
+		// Empty array, whitespace-only body.
+		{"[ \n]", 0},
+		{" \t\r\n", 0},
+		// Type mismatches.
+		{`[{"vector":"a"}]`, 0},
+		{`[{"tokens":[1]}]`, 0},
+		{`[{"vector":[]}]`, 0},
+		{`[{"tokens":[]}]`, 0},
+		{`[{"vector":[true]}]`, 0},
+		{`[{"vector":[1],"id":"1"}]`, 0},
+		{`[{"vector":[[1]]}]`, 0},
+		{`[5]`, 0},
+		{`{"vector":[1]} 5`, 0},
+		// Structure.
+		{`[{"vector":[1]},]`, 0},
+		{`[{"vector":[1],}]`, 0},
+		{`[{"vector":[1]} {"vector":[2]}]`, 0},
+		{`[{"vector" [1]}]`, 0},
+		{`[{vector:[1]}]`, 0},
+		{`[{"vector":[1]}`, 0},
+		{`{"vector":[1]}]`, 0},
+		{`"vector"`, 0},
+	}
+	for _, s := range seeds {
+		f.Add([]byte(s.body), s.max)
+	}
+	f.Fuzz(func(t *testing.T, body []byte, max uint8) {
+		maxPoints := int(max % 8)
+		got, err := parsePoints(body, 1.5, maxPoints)
+		want, wantErr := decodePointsJSON(body, 1.5, maxPoints)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("parsePoints error %v, encoding/json error %v, for %q", err, wantErr, body)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("parsePoints gave %d points, encoding/json %d, for %q", len(got), len(want), body)
+		}
+		for i := range got {
+			if !samePoint(got[i], want[i]) {
+				t.Fatalf("point %d differs for %q:\n  parsePoints   %+v\n  encoding/json %+v", i, body, got[i], want[i])
 			}
 		}
 	})

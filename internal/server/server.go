@@ -590,8 +590,7 @@ func (s *Server) handleIngest(st *stream, w http.ResponseWriter, r *http.Request
 			reasonOverloaded, retryAfterSeconds(est))
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	pts, err := decodePoints(body, s.streamNow(), s.cfg.MaxBatch)
+	pts, err := s.decodeBody(w, r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -645,9 +644,20 @@ func (s *Server) handleIngest(st *stream, w http.ResponseWriter, r *http.Request
 	writeJSON(w, http.StatusOK, ingestResponse{Accepted: len(pts), Cells: cells})
 }
 
+// decodeBody reads an ingest or assign request body, at most
+// MaxBodyBytes of it, and parses its points. Points without a time are
+// stamped with the stream clock as the request is read.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request) ([]edmstream.Point, error) {
+	now := s.streamNow()
+	body, err := readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength)
+	if err != nil {
+		return nil, err
+	}
+	return parsePoints(body, now, s.cfg.MaxBatch)
+}
+
 func (s *Server) handleAssign(st *stream, w http.ResponseWriter, r *http.Request, _ string) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	pts, err := decodePoints(body, s.streamNow(), s.cfg.MaxBatch)
+	pts, err := s.decodeBody(w, r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return

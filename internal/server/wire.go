@@ -1,171 +1,654 @@
 package server
 
 import (
-	"encoding/json"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"strconv"
+	"unicode"
+	"unicode/utf16"
+	"unicode/utf8"
 
 	"github.com/densitymountain/edmstream"
 )
 
-// wirePoint is the JSON form of one stream point. Exactly one of
-// vector/tokens must be present. Omitted time means "stamp with the
-// server's stream clock at decode" (seconds since the server
-// started); explicit times let a single writer replay a recorded
-// stream deterministically. id and label are optional and preserved
-// verbatim (the engine uses them only for error messages and
-// evaluation).
-type wirePoint struct {
-	ID     *int64    `json:"id,omitempty"`
-	Vector []float64 `json:"vector,omitempty"`
-	Tokens []string  `json:"tokens,omitempty"`
-	Time   *float64  `json:"time,omitempty"`
-	Label  *int      `json:"label,omitempty"`
+// maxBodyPresize caps the buffer readBody reserves from a request's
+// Content-Length, so a header that overstates the body cannot reserve
+// up to MaxBodyBytes before a byte arrives.
+const maxBodyPresize = 1 << 20
+
+// readBody reads r to EOF in one pass. size is the expected length (a
+// request's Content-Length, negative when unknown): the buffer is
+// presized from it, capped at maxBodyPresize, with one spare byte so
+// the read that reports EOF needs no growth, and doubles whenever the
+// body outgrows it. The buffer is the caller's; nothing is kept.
+func readBody(r io.Reader, size int64) ([]byte, error) {
+	n := 512
+	if size >= 0 {
+		n = int(min(size, maxBodyPresize)) + 1
+	}
+	buf := make([]byte, 0, n)
+	for {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, cap(buf))
+		}
+		m, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+m]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
 }
 
-// toPoint converts a wire point, stamping omitted fields. now is the
-// server's stream clock reading for this request.
-func (w wirePoint) toPoint(now float64) edmstream.Point {
-	p := edmstream.Point{Label: edmstream.NoLabel, Time: now}
-	if w.ID != nil {
-		p.ID = *w.ID
-	}
-	if w.Time != nil {
-		p.Time = *w.Time
-	}
-	if w.Label != nil {
-		p.Label = *w.Label
-	}
-	if w.Tokens != nil {
-		p.Tokens = edmstream.NewTokenSet(w.Tokens...)
-	} else {
-		p.Vector = w.Vector
-	}
-	return p
-}
-
-// decodePoints reads an ingest or assign request body: either a JSON
-// array of point objects or NDJSON (one point object per line; any
-// whitespace separation works). Each decoded point is validated so a
-// malformed request is rejected before it can poison a coalesced
-// batch shared with other requests. maxPoints bounds the decoded
-// count (0 = unbounded).
-func decodePoints(r io.Reader, now float64, maxPoints int) ([]edmstream.Point, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-
-	tok, err := dec.Token()
-	if errors.Is(err, io.EOF) {
+// parsePoints parses an ingest or assign request body: either a JSON
+// array of point objects (only whitespace may follow it) or NDJSON,
+// point objects one after another with any or no whitespace between
+// them. A point object is {"vector":[...]} or {"tokens":[...]} with
+// optional "id", "time" and "label". It accepts exactly what
+// encoding/json accepts when decoding each object into
+//
+//	struct {
+//		ID     *int64    `json:"id"`
+//		Vector []float64 `json:"vector"`
+//		Tokens []string  `json:"tokens"`
+//		Time   *float64  `json:"time"`
+//		Label  *int      `json:"label"`
+//	}
+//
+// with unknown fields disallowed, and yields the same values: keys
+// match case-insensitively, null leaves a field absent, a repeated key
+// overwrites the earlier one, and strings decode with the same escape,
+// surrogate and invalid-UTF-8 rules. An absent time is stamped with
+// now, the server's stream clock for the request; an absent label is
+// NoLabel.
+//
+// Each point is validated as it is parsed, so a malformed request is
+// rejected before it can poison a coalesced batch shared with other
+// requests. maxPoints bounds the point count (0 = unbounded). Every
+// vector is its own exact-size allocation: no point aliases body.
+func parsePoints(body []byte, now float64, maxPoints int) ([]edmstream.Point, error) {
+	p := pointParser{buf: body, now: now, maxPoints: maxPoints}
+	p.skipSpace()
+	if p.off == len(p.buf) {
 		return nil, errors.New("empty request body")
 	}
-	if err != nil {
-		return nil, err
+	// Every point object opens with '{', so their count bounds the
+	// point count; braces inside strings only overestimate it.
+	hint := min(bytes.Count(body, []byte{'{'}), maxPointsPresize)
+	if maxPoints > 0 {
+		hint = min(hint, maxPoints)
 	}
+	p.pts = make([]edmstream.Point, 0, hint)
 
-	var pts []edmstream.Point
-	add := func(w wirePoint) error {
-		if w.Vector != nil && w.Tokens != nil {
-			// toPoint prefers tokens, so catch the conflict here where
-			// both halves are still visible.
-			return fmt.Errorf("point %d: has both vector and tokens", len(pts))
-		}
-		if w.Tokens == nil && len(w.Vector) == 0 {
-			return fmt.Errorf("point %d: vector must have at least one coordinate", len(pts))
-		}
-		p := w.toPoint(now)
-		if err := p.Validate(); err != nil {
-			return fmt.Errorf("point %d: %w", len(pts), err)
-		}
-		if maxPoints > 0 && len(pts) >= maxPoints {
-			return fmt.Errorf("too many points in one request (max %d)", maxPoints)
-		}
-		pts = append(pts, p)
-		return nil
-	}
-
-	if delim, ok := tok.(json.Delim); ok && delim == '[' {
-		// JSON array body.
-		for dec.More() {
-			var w wirePoint
-			if err := dec.Decode(&w); err != nil {
-				return nil, fmt.Errorf("point %d: %w", len(pts), err)
-			}
-			if err := add(w); err != nil {
-				return nil, err
+	switch p.buf[p.off] {
+	case '[':
+		p.off++
+		p.skipSpace()
+		if p.peek() == ']' {
+			p.off++
+		} else {
+			for more := true; more; {
+				p.skipSpace()
+				if err := p.point(); err != nil {
+					return nil, err
+				}
+				p.skipSpace()
+				var err error
+				if more, err = p.next(']'); err != nil {
+					return nil, fmt.Errorf("point %d: %w", len(p.pts), err)
+				}
 			}
 		}
-		if _, err := dec.Token(); err != nil {
-			return nil, err
-		}
-		// Only whitespace may follow the array: a second array or
-		// stray bytes would otherwise be dropped while the ack reports
-		// the request accepted.
-		if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		p.skipSpace()
+		if p.off != len(p.buf) {
+			// A second array or stray bytes would otherwise be dropped
+			// while the ack reports the request accepted.
 			return nil, errors.New("unexpected data after the JSON array")
 		}
-		return pts, nil
-	}
-
-	if delim, ok := tok.(json.Delim); ok && delim == '{' {
-		// NDJSON (or a single bare object). The first object's opening
-		// brace is already consumed, so rebuild it from the token
-		// stream, then continue decoding whole objects.
-		var first wirePoint
-		if err := decodeOpenObject(dec, &first); err != nil {
-			return nil, fmt.Errorf("point 0: %w", err)
-		}
-		if err := add(first); err != nil {
-			return nil, err
-		}
-		for {
-			var w wirePoint
-			if err := dec.Decode(&w); errors.Is(err, io.EOF) {
-				return pts, nil
-			} else if err != nil {
-				return nil, fmt.Errorf("point %d: %w", len(pts), err)
-			}
-			if err := add(w); err != nil {
+	case '{':
+		for p.off < len(p.buf) {
+			if err := p.point(); err != nil {
 				return nil, err
 			}
+			p.skipSpace()
 		}
+	default:
+		return nil, fmt.Errorf("request body must be a JSON array of points or NDJSON, got %q", p.buf[p.off])
 	}
-
-	return nil, fmt.Errorf("request body must be a JSON array of points or NDJSON, got %v", tok)
+	return p.pts, nil
 }
 
-// decodeOpenObject decodes the remainder of an object whose opening
-// '{' token has already been consumed from dec.
-func decodeOpenObject(dec *json.Decoder, w *wirePoint) error {
-	for dec.More() {
-		keyTok, err := dec.Token()
-		if err != nil {
-			return err
+// maxPointsPresize caps parsePoints' up-front reservation for the
+// point slice when the request sets no smaller bound.
+const maxPointsPresize = 4096
+
+// pointParser is the state of one parsePoints call.
+type pointParser struct {
+	buf       []byte
+	off       int
+	now       float64
+	maxPoints int
+	pts       []edmstream.Point
+
+	// Scratch reused across the body's objects. vec and toks hold the
+	// current object's vector and tokens; their lengths are the
+	// high-water marks encoding/json's reused slice would retain for a
+	// repeated key (see floats).
+	vec  []float64
+	toks []string
+	str  []byte // unescaped string bytes
+}
+
+// point parses one point object (or null, which is a point with no
+// fields), validates it and appends it.
+func (p *pointParser) point() error {
+	i := len(p.pts)
+	pt, err := p.object()
+	if err != nil {
+		return fmt.Errorf("point %d: %w", i, err)
+	}
+	if err := pt.Validate(); err != nil {
+		return fmt.Errorf("point %d: %w", i, err)
+	}
+	if p.maxPoints > 0 && i >= p.maxPoints {
+		return fmt.Errorf("too many points in one request (max %d)", p.maxPoints)
+	}
+	p.pts = append(p.pts, pt)
+	return nil
+}
+
+// The fields of a point object, in the order fieldNames lists them.
+const (
+	fieldID = iota
+	fieldVector
+	fieldTokens
+	fieldTime
+	fieldLabel
+)
+
+var fieldNames = [...]string{"id", "vector", "tokens", "time", "label"}
+
+// object parses a point object or null into a point stamped with the
+// request's defaults.
+func (p *pointParser) object() (edmstream.Point, error) {
+	pt := edmstream.Point{Label: edmstream.NoLabel, Time: p.now}
+	var (
+		vecSet, tokSet bool // the field is present and not null
+		nvec, ntok     int
+	)
+	p.vec, p.toks = p.vec[:0], p.toks[:0]
+
+	switch p.peek() {
+	case 'n':
+		if err := p.null(); err != nil {
+			return pt, err
 		}
-		key, _ := keyTok.(string)
-		switch key {
-		case "id":
-			w.ID = new(int64)
-			err = dec.Decode(w.ID)
-		case "vector":
-			err = dec.Decode(&w.Vector)
-		case "tokens":
-			err = dec.Decode(&w.Tokens)
-		case "time":
-			w.Time = new(float64)
-			err = dec.Decode(w.Time)
-		case "label":
-			w.Label = new(int)
-			err = dec.Decode(w.Label)
-		default:
-			return fmt.Errorf("unknown field %q", key)
+	case '{':
+		p.off++
+		p.skipSpace()
+		if p.peek() == '}' {
+			p.off++
+			break
 		}
-		if err != nil {
-			return err
+		for more := true; more; {
+			p.skipSpace()
+			f, err := p.key()
+			if err != nil {
+				return pt, err
+			}
+			p.skipSpace()
+			if p.peek() != ':' {
+				return pt, p.unexpected("':'")
+			}
+			p.off++
+			p.skipSpace()
+			var set bool
+			switch f {
+			case fieldID:
+				pt.ID, _, err = p.integer(64) // null gives 0, the absent id
+			case fieldLabel:
+				var v int64
+				v, set, err = p.integer(strconv.IntSize)
+				pt.Label = edmstream.NoLabel
+				if set {
+					pt.Label = int(v)
+				}
+			case fieldTime:
+				if pt.Time, set, err = p.float(); !set {
+					pt.Time = p.now
+				}
+			case fieldVector:
+				nvec, vecSet, err = p.floats()
+			case fieldTokens:
+				ntok, tokSet, err = p.strings()
+			}
+			if err != nil {
+				return pt, fmt.Errorf("field %q: %w", fieldNames[f], err)
+			}
+			p.skipSpace()
+			if more, err = p.next('}'); err != nil {
+				return pt, err
+			}
+		}
+	default:
+		return pt, p.unexpected("a point object")
+	}
+
+	if vecSet && tokSet {
+		return pt, errors.New("has both vector and tokens")
+	}
+	if tokSet {
+		pt.Tokens = edmstream.NewTokenSet(p.toks[:ntok]...)
+		return pt, nil
+	}
+	if nvec == 0 {
+		return pt, errors.New("vector must have at least one coordinate")
+	}
+	pt.Vector = make([]float64, nvec)
+	copy(pt.Vector, p.vec)
+	return pt, nil
+}
+
+// key parses an object key and names the point field it matches: the
+// field whose name it equals, else the one it equals under
+// encoding/json's case folding (no two field names fold alike).
+func (p *pointParser) key() (int, error) {
+	if p.peek() != '"' {
+		return 0, p.unexpected("a field name")
+	}
+	raw, plain, err := p.quoted()
+	if err != nil {
+		return 0, err
+	}
+	if !plain {
+		p.str = appendUnquoted(p.str[:0], raw)
+		raw = p.str
+	}
+	for f, name := range fieldNames {
+		if string(raw) == name {
+			return f, nil
 		}
 	}
-	_, err := dec.Token() // closing '}'
-	return err
+	for f, name := range fieldNames {
+		if foldedEqual(raw, name) {
+			return f, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown field %q", raw)
+}
+
+// array consumes the start of an array value, or null. It reports
+// whether the value is an array.
+func (p *pointParser) array() (bool, error) {
+	switch p.peek() {
+	case '[':
+		p.off++
+		return true, nil
+	case 'n':
+		return false, p.null()
+	}
+	return false, p.unexpected("an array or null")
+}
+
+// floats parses a number array into p.vec and returns its length, or
+// consumes null (set is false). encoding/json decodes a repeated key
+// into the slice it already holds: a null element leaves the value a
+// previous array put at that index, or 0 past every earlier array.
+// p.vec keeps those values until a null or empty array replaces the
+// slice.
+func (p *pointParser) floats() (n int, set bool, err error) {
+	if set, err = p.array(); !set || err != nil {
+		p.vec = p.vec[:0]
+		return 0, set, err
+	}
+	p.skipSpace()
+	if p.peek() == ']' {
+		p.off++
+		p.vec = p.vec[:0]
+		return 0, true, nil
+	}
+	for ; ; n++ {
+		p.skipSpace()
+		if n == len(p.vec) {
+			p.vec = append(p.vec, 0)
+		}
+		v, num, err := p.float()
+		if err != nil {
+			return 0, true, err
+		}
+		if num {
+			p.vec[n] = v
+		}
+		p.skipSpace()
+		if more, err := p.next(']'); err != nil || !more {
+			return n + 1, true, err
+		}
+	}
+}
+
+// strings parses a string array into p.toks, or consumes null, with
+// the same repeated-key rule as floats.
+func (p *pointParser) strings() (n int, set bool, err error) {
+	if set, err = p.array(); !set || err != nil {
+		p.toks = p.toks[:0]
+		return 0, set, err
+	}
+	p.skipSpace()
+	if p.peek() == ']' {
+		p.off++
+		p.toks = p.toks[:0]
+		return 0, true, nil
+	}
+	for ; ; n++ {
+		p.skipSpace()
+		if n == len(p.toks) {
+			p.toks = append(p.toks, "")
+		}
+		switch p.peek() {
+		case 'n':
+			if err := p.null(); err != nil {
+				return 0, true, err
+			}
+		case '"':
+			raw, plain, err := p.quoted()
+			if err != nil {
+				return 0, true, err
+			}
+			if plain {
+				p.toks[n] = string(raw)
+			} else {
+				p.str = appendUnquoted(p.str[:0], raw)
+				p.toks[n] = string(p.str)
+			}
+		default:
+			return 0, true, p.unexpected("a string or null")
+		}
+		p.skipSpace()
+		if more, err := p.next(']'); err != nil || !more {
+			return n + 1, true, err
+		}
+	}
+}
+
+// float parses a number or null; set is false for null.
+func (p *pointParser) float() (v float64, set bool, err error) {
+	lit, err := p.number()
+	if lit == nil || err != nil {
+		return 0, false, err
+	}
+	v, err = strconv.ParseFloat(string(lit), 64)
+	if err != nil {
+		return 0, false, fmt.Errorf("number %s does not fit a float64", lit)
+	}
+	return v, true, nil
+}
+
+// integer parses a number or null as a bits-wide signed integer; set
+// is false for null. Like encoding/json, a fraction or exponent is an
+// error even when the value is whole.
+func (p *pointParser) integer(bits int) (v int64, set bool, err error) {
+	lit, err := p.number()
+	if lit == nil || err != nil {
+		return 0, false, err
+	}
+	v, err = strconv.ParseInt(string(lit), 10, bits)
+	if err != nil {
+		return 0, false, fmt.Errorf("number %s is not an int%d", lit, bits)
+	}
+	return v, true, nil
+}
+
+// number consumes a JSON number and returns its literal, or consumes
+// null and returns nil.
+func (p *pointParser) number() ([]byte, error) {
+	if p.peek() == 'n' {
+		return nil, p.null()
+	}
+	start, i := p.off, p.off
+	if i < len(p.buf) && p.buf[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(p.buf) && p.buf[i] == '0':
+		i++
+	case i < len(p.buf) && '1' <= p.buf[i] && p.buf[i] <= '9':
+		i = p.digits(i)
+	default:
+		p.off = i
+		return nil, p.unexpected("a number or null")
+	}
+	if i < len(p.buf) && p.buf[i] == '.' {
+		i++
+		j := p.digits(i)
+		if j == i {
+			p.off = i
+			return nil, p.unexpected("a digit after the decimal point")
+		}
+		i = j
+	}
+	if i < len(p.buf) && (p.buf[i] == 'e' || p.buf[i] == 'E') {
+		i++
+		if i < len(p.buf) && (p.buf[i] == '+' || p.buf[i] == '-') {
+			i++
+		}
+		j := p.digits(i)
+		if j == i {
+			p.off = i
+			return nil, p.unexpected("a digit in the exponent")
+		}
+		i = j
+	}
+	p.off = i
+	return p.buf[start:i], nil
+}
+
+// digits returns the index past the run of decimal digits at i.
+func (p *pointParser) digits(i int) int {
+	for i < len(p.buf) && '0' <= p.buf[i] && p.buf[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// quoted consumes a string, validating it as encoding/json's scanner
+// does, and returns its raw contents between the quotes. plain
+// reports that they are ASCII with no escapes, so raw is already the
+// decoded value.
+func (p *pointParser) quoted() (raw []byte, plain bool, err error) {
+	start := p.off + 1
+	plain = true
+	for i := start; i < len(p.buf); {
+		switch c := p.buf[i]; {
+		case c == '"':
+			p.off = i + 1
+			return p.buf[start:i], plain, nil
+		case c == '\\':
+			plain = false
+			switch p.peekAt(i + 1) {
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+				i += 2
+				continue
+			case 'u':
+				if i+6 <= len(p.buf) && hex4(p.buf[i+2:i+6]) >= 0 {
+					i += 6
+					continue
+				}
+			}
+			p.off = i + 1
+			return nil, false, p.unexpected("a valid escape")
+		case c < ' ':
+			p.off = i
+			return nil, false, p.unexpected("a string character")
+		case c >= utf8.RuneSelf:
+			plain = false
+		}
+		i++
+	}
+	p.off = len(p.buf)
+	return nil, false, p.unexpected("the end of the string")
+}
+
+// null consumes the literal null.
+func (p *pointParser) null() error {
+	for i := 0; i < len("null"); i++ {
+		if p.peek() != "null"[i] {
+			return p.unexpected("null")
+		}
+		p.off++
+	}
+	return nil
+}
+
+// next consumes the ',' that separates two elements (more is true) or
+// the delimiter end that closes the array or object.
+func (p *pointParser) next(end byte) (more bool, err error) {
+	switch p.peek() {
+	case ',':
+		p.off++
+		return true, nil
+	case end:
+		p.off++
+		return false, nil
+	}
+	return false, p.unexpected(fmt.Sprintf("',' or '%c'", end))
+}
+
+// peek returns the next byte, or 0 at the end of the body.
+func (p *pointParser) peek() byte { return p.peekAt(p.off) }
+
+// peekAt returns the byte at i, or 0 past the end of the body.
+func (p *pointParser) peekAt(i int) byte {
+	if i >= len(p.buf) {
+		return 0
+	}
+	return p.buf[i]
+}
+
+// skipSpace skips the four whitespace bytes JSON allows.
+func (p *pointParser) skipSpace() {
+	for p.off < len(p.buf) {
+		switch p.buf[p.off] {
+		case ' ', '\t', '\n', '\r':
+			p.off++
+		default:
+			return
+		}
+	}
+}
+
+// unexpected reports the byte at the parser's offset where want was
+// expected.
+func (p *pointParser) unexpected(want string) error {
+	if p.off == len(p.buf) {
+		return fmt.Errorf("unexpected end of JSON input, want %s", want)
+	}
+	return fmt.Errorf("invalid character %q at offset %d, want %s", p.buf[p.off], p.off, want)
+}
+
+// appendUnquoted appends the value of a validated JSON string's raw
+// contents to dst, decoding as encoding/json does: a \u escape of a
+// surrogate that does not pair with the next \u escape becomes U+FFFD
+// (and the next escape stands alone), and each byte of invalid UTF-8
+// becomes U+FFFD.
+func appendUnquoted(dst, s []byte) []byte {
+	for r := 0; r < len(s); {
+		switch c := s[r]; {
+		case c == '\\':
+			switch e := s[r+1]; e {
+			case 'u':
+				rr := hex4(s[r+2 : r+6])
+				r += 6
+				if utf16.IsSurrogate(rr) {
+					rr1 := rune(-1)
+					if r+6 <= len(s) && s[r] == '\\' && s[r+1] == 'u' {
+						rr1 = hex4(s[r+2 : r+6])
+					}
+					if dec := utf16.DecodeRune(rr, rr1); dec != unicode.ReplacementChar {
+						r += 6
+						dst = utf8.AppendRune(dst, dec)
+						continue
+					}
+					rr = unicode.ReplacementChar
+				}
+				dst = utf8.AppendRune(dst, rr)
+			default:
+				dst = append(dst, unescaped[e])
+				r += 2
+			}
+		case c < utf8.RuneSelf:
+			dst = append(dst, c)
+			r++
+		default:
+			rr, size := utf8.DecodeRune(s[r:])
+			dst = utf8.AppendRune(dst, rr)
+			r += size
+		}
+	}
+	return dst
+}
+
+// unescaped maps the byte after a backslash to the byte it stands for.
+var unescaped = [256]byte{'"': '"', '\\': '\\', '/': '/', 'b': '\b', 'f': '\f', 'n': '\n', 'r': '\r', 't': '\t'}
+
+// hex4 decodes four hex digits, or returns -1.
+func hex4(b []byte) rune {
+	var r rune
+	for _, c := range b {
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c -= 'a' - 10
+		case 'A' <= c && c <= 'F':
+			c -= 'A' - 10
+		default:
+			return -1
+		}
+		r = r*16 + rune(c)
+	}
+	return r
+}
+
+// foldedEqual reports whether key equals the lower-case ASCII name
+// under encoding/json's case folding: ASCII letters fold to upper
+// case, and any other rune to the smallest rune of its Unicode fold
+// set (so the Kelvin sign U+212A matches "k").
+func foldedEqual(key []byte, name string) bool {
+	j := 0
+	for i := 0; i < len(key); j++ {
+		var r rune
+		if c := key[i]; c < utf8.RuneSelf {
+			if 'a' <= c && c <= 'z' {
+				c -= 'a' - 'A'
+			}
+			r = rune(c)
+			i++
+		} else {
+			rr, n := utf8.DecodeRune(key[i:])
+			r = foldRune(rr)
+			i += n
+		}
+		if j == len(name) || r != rune(name[j]-('a'-'A')) {
+			return false
+		}
+	}
+	return j == len(name)
+}
+
+// foldRune returns the smallest rune of r's Unicode fold set.
+func foldRune(r rune) rune {
+	for {
+		r2 := unicode.SimpleFold(r)
+		if r2 <= r {
+			return r2
+		}
+		r = r2
+	}
 }
 
 // pointShape encodes a point's modality and dimensionality as one
